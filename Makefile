@@ -35,7 +35,7 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Measure the working tree against the previous commit (or BASE=<ref>),
-# report via benchstat when available, and emit BENCH_PR10.json. Fails when
+# report via benchstat when available, and emit BENCH_COMPARE.json. Fails when
 # a gated oracle microbenchmark (E1/E11) regresses more than 25%; CI
 # uploads the output as an artifact either way.
 BASE ?= HEAD~1

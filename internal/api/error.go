@@ -49,6 +49,10 @@ const (
 	// CodeShuttingDown: the server is draining for shutdown and no longer
 	// accepts new mutations; retry against another endpoint.
 	CodeShuttingDown = "shutting_down"
+	// CodeCanceled: the request's context ended (the client disconnected)
+	// while its query was evaluating; the evaluation stopped and released
+	// its slot.
+	CodeCanceled = "canceled"
 	// CodeInternal: the server failed in a way the client cannot repair
 	// (e.g. the load applied but could not be made durable).
 	CodeInternal = "internal"

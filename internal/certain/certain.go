@@ -41,26 +41,31 @@ import (
 	"incdb/internal/value"
 )
 
-// worldEval compiles and prepares q once per oracle invocation: the
-// returned evaluator is shared by all worker shards and re-executes the
-// same physical plan per world, with every null-free subplan (results and
-// hash-join build tables) frozen across the whole valuation space. The
-// plan's batch buffers recycle per worker shard through its sync.Pool —
-// each shard executing worlds back to back keeps reusing one warm buffer
-// set, so the per-world cost is the rows, not the allocations. With a
-// prepared-plan cache in the options the freeze additionally survives
-// *across* oracle invocations, guarded by the base relations' mutation
-// versions — the REPL/server reuse path.
-func (o Options) worldEval(db *relation.Database, q algebra.Expr, bag bool) func(*relation.Database) *relation.Relation {
-	prep := o.Prep.Get(db, q, algebra.ModeNaive, bag)
-	if o.Trace == nil {
-		return prep.Exec
-	}
-	tr := o.Trace
-	return func(w *relation.Database) *relation.Relation {
-		return prep.ExecTraced(w, tr)
-	}
+// evaluator is one oracle invocation's prepared query: q compiled and
+// prepared once, shared by all worker shards, with every null-free subplan
+// (results and hash-join build tables) frozen across the whole valuation
+// space. Each shard evaluates its worlds through its own plan.Worlds, which
+// runs delta-linear plans on the substituted null rows only and
+// instantiates the world for every other plan. With a prepared-plan cache
+// in the options the freeze additionally survives *across* oracle
+// invocations, guarded by the base relations' mutation versions — the
+// REPL/server reuse path.
+type evaluator struct {
+	db   *relation.Database
+	prep *plan.Prepared
+	tr   *plan.Trace
 }
+
+func (o Options) prepare(db *relation.Database, q algebra.Expr, bag bool) evaluator {
+	return evaluator{db: db, prep: o.Prep.Get(db, q, algebra.ModeNaive, bag), tr: o.Trace}
+}
+
+// base evaluates q on the base database itself (trivially one of its own
+// worlds), sharing the frozen subplans with the world loops.
+func (e evaluator) base() *relation.Relation { return e.prep.ExecTraced(e.db, e.tr) }
+
+// worlds returns a fresh per-worker world evaluator.
+func (e evaluator) worlds() *plan.Worlds { return e.prep.Worlds(e.db, e.tr) }
 
 // Options bounds the exhaustive enumeration and configures parallelism.
 type Options struct {
@@ -90,6 +95,10 @@ type Options struct {
 	// unchanged database skip re-materializing every frozen null-free
 	// subplan. Results are identical with or without it.
 	Prep *plan.PrepCache
+	// Context, when non-nil, cancels the enumeration: every worker checks
+	// it every pollInterval worlds, and a cancelled oracle returns
+	// Context.Err(). Nil means context.Background().
+	Context context.Context
 }
 
 // DefaultMaxWorlds bounds enumeration to about a million possible worlds.
@@ -103,6 +112,13 @@ func (o Options) maxWorlds() int {
 }
 
 func (o Options) engine() engine.Options { return engine.Options{Workers: o.Workers} }
+
+func (o Options) ctx() context.Context {
+	if o.Context == nil {
+		return context.Background()
+	}
+	return o.Context
+}
 
 // pollInterval is how many worlds a worker evaluates between cancellation
 // checks.
@@ -293,16 +309,35 @@ func (s *Space) EachRange(lo, hi int, f func(v value.Valuation) bool) {
 	value.EnumValuations(s.ids, s.rng, lo, hi, f)
 }
 
-// shards splits the space's index range for the pool, or returns nil when
-// the serial path should be used (one worker, or a space too small to pay
-// for fan-out).
-func (s *Space) shards(eng engine.Options) [][2]int {
+// shards splits the index range [lo, Size()) for the pool, or returns nil
+// when the serial path should be used (one worker, or a space too small to
+// pay for fan-out).
+func (s *Space) shards(eng engine.Options, lo int) [][2]int {
 	w := eng.WorkerCount()
 	if w <= 1 || s.count < engine.MinParallel {
 		return nil
 	}
 	// Overshard for load balance: world costs vary with the valuation.
-	return engine.Split(s.count, w*4)
+	parts := engine.Split(s.count-lo, w*4)
+	for i := range parts {
+		parts[i][0] += lo
+		parts[i][1] += lo
+	}
+	return parts
+}
+
+// polled wraps a per-world callback with the cancellation check every
+// pollInterval worlds; stop is raised when the context ended the loop.
+func polled(ctx context.Context, stop *bool, f func(v value.Valuation) bool) func(v value.Valuation) bool {
+	step := 0
+	return func(v value.Valuation) bool {
+		step++
+		if step%pollInterval == 0 && engine.Canceled(ctx) {
+			*stop = true
+			return false
+		}
+		return f(v)
+	}
 }
 
 // WithNulls computes cert⊥(Q, D) exactly. Candidates are drawn from the
@@ -314,12 +349,12 @@ func WithNulls(db *relation.Database, q algebra.Expr, opts Options) (*relation.R
 	if err != nil {
 		return nil, err
 	}
-	// The naive evaluation is the prepared plan run on the base itself (the
-	// base is trivially one of its own worlds), so candidate collection
-	// shares the frozen null-free subplans with the world loop below.
-	eval := opts.worldEval(db, q, false)
-	candidates := eval(db).Tuples()
-	alive, err := survivors(db, space, candidates, opts, eval)
+	// The naive evaluation is the prepared plan run on the base itself, so
+	// candidate collection shares the frozen null-free subplans with the
+	// world loop below.
+	ev := opts.prepare(db, q, false)
+	candidates := ev.base().Tuples()
+	alive, err := survivors(space, 0, candidates, opts, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -333,59 +368,73 @@ func WithNulls(db *relation.Database, q algebra.Expr, opts Options) (*relation.R
 	return out, nil
 }
 
-// survivors reports, per candidate, whether it is an answer in every world
-// of the space. The parallel path shards the index range; each worker
-// eliminates candidates independently and the shard results are AND-merged,
-// which is order-insensitive and hence identical to the serial elimination.
-func survivors(db *relation.Database, space *Space, candidates []value.Tuple, opts Options,
-	eval func(*relation.Database) *relation.Relation) ([]bool, error) {
+// survivors reports, per candidate, whether v(t̄) is an answer in every
+// world of the space whose index is at least lo. The parallel path shards
+// the index range; each worker eliminates candidates independently and the
+// shard results are AND-merged, which is order-insensitive and hence
+// identical to the serial elimination.
+func survivors(space *Space, lo int, candidates []value.Tuple, opts Options, ev evaluator) ([]bool, error) {
 	alive := make([]bool, len(candidates))
 	for i := range alive {
 		alive[i] = true
 	}
-	if len(candidates) == 0 {
+	if len(candidates) == 0 || lo >= space.Size() {
 		return alive, nil
 	}
-	eliminate := func(ctx context.Context, lo, hi int, local []bool, allDead *engine.Flag) {
-		remaining := len(candidates)
-		for i := range local {
+	eliminate := func(ctx context.Context, lo, hi int, local []bool, allDead *engine.Flag) bool {
+		w := ev.worlds()
+		remaining := 0
+		// check lists the candidates a world can still refute. A candidate
+		// in the frozen part of the result (null-free, so every valuation
+		// fixes it) is an answer in every world: it stays alive without a
+		// per-world probe.
+		var check []int
+		for i, t := range candidates {
 			if !local[i] {
-				remaining--
+				continue
+			}
+			remaining++
+			if !w.Frozen(t) {
+				check = append(check, i)
 			}
 		}
 		// One probe buffer per worker: candidate instantiation reuses it
 		// instead of allocating a tuple per candidate per world.
 		buf := make(value.Tuple, len(candidates[0]))
-		step := 0
-		space.EachRange(lo, hi, func(v value.Valuation) bool {
+		stopped := false
+		space.EachRange(lo, hi, polled(ctx, &stopped, func(v value.Valuation) bool {
 			if remaining == 0 || (allDead != nil && allDead.IsSet()) {
 				return false
 			}
-			step++
-			if ctx != nil && step%pollInterval == 0 && engine.Canceled(ctx) {
-				return false
-			}
-			res := eval(db.ApplyShared(v))
-			for i, t := range candidates {
-				if local[i] && !res.Contains(v.ApplyInto(buf, t)) {
+			w.Load(v)
+			kept := check[:0]
+			for _, i := range check {
+				if w.Contains(v.ApplyInto(buf, candidates[i])) {
+					kept = append(kept, i)
+				} else {
 					local[i] = false
 					remaining--
 				}
 			}
+			check = kept
 			return true
-		})
+		}))
 		if remaining == 0 && allDead != nil {
 			// Nothing can come back to life: every worker may stop.
 			allDead.Set()
 		}
+		return stopped
 	}
-	shards := space.shards(opts.engine())
+	ctx := opts.ctx()
+	shards := space.shards(opts.engine(), lo)
 	if shards == nil {
-		eliminate(nil, 0, space.Size(), alive, nil)
+		if eliminate(ctx, lo, space.Size(), alive, nil) {
+			return nil, ctx.Err()
+		}
 		return alive, nil
 	}
 	var allDead engine.Flag
-	results, err := engine.Map(context.Background(), opts.engine(), len(shards),
+	results, err := engine.Map(ctx, opts.engine(), len(shards),
 		func(ctx context.Context, si int) ([]bool, error) {
 			local := make([]bool, len(candidates))
 			for i := range local {
@@ -406,140 +455,80 @@ func survivors(db *relation.Database, space *Space, candidates []value.Tuple, op
 }
 
 // Intersection computes cert∩(Q, D) = ⋂_{v} Q(v(D)) exactly. The result
-// consists of constant tuples only (Section 3.2). Each parallel shard
-// intersects its own index range and the shard accumulators are then
-// intersected in shard order, which reproduces the serial fold exactly; a
-// shard that empties its accumulator raises a flag that stops all others,
-// since an empty factor makes the whole intersection empty.
+// consists of constant tuples only (Section 3.2). The first world's answer
+// bounds the intersection, so its tuples are the candidates, and every
+// other world eliminates the ones it lacks through the same elimination
+// loop WithNulls uses: a world's tuples carry no null the space binds, so
+// probing v(t̄) probes t̄ itself. A shard that eliminates every candidate
+// stops all others, since the intersection is then empty.
 func Intersection(db *relation.Database, q algebra.Expr, opts Options) (*relation.Relation, error) {
 	space, err := NewSpaceForQuery(db, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	eval := opts.worldEval(db, q, false)
-	intersectRange := func(ctx context.Context, lo, hi int, empty *engine.Flag) *relation.Relation {
-		var acc *relation.Relation
-		step := 0
-		space.EachRange(lo, hi, func(v value.Valuation) bool {
-			if empty != nil && empty.IsSet() {
-				return false
-			}
-			step++
-			if ctx != nil && step%pollInterval == 0 && engine.Canceled(ctx) {
-				return false
-			}
-			res := eval(db.ApplyShared(v))
-			if acc == nil {
-				acc = res
-				return true
-			}
-			acc = intersect(acc, res)
-			if acc.Len() == 0 {
-				if empty != nil {
-					empty.Set()
-				}
-				return false
-			}
-			return true
-		})
-		return acc
-	}
-
-	var acc *relation.Relation
-	shards := space.shards(opts.engine())
-	if shards == nil {
-		acc = intersectRange(nil, 0, space.Size(), nil)
-	} else {
-		var empty engine.Flag
-		parts, err := engine.Map(context.Background(), opts.engine(), len(shards),
-			func(ctx context.Context, si int) (*relation.Relation, error) {
-				return intersectRange(ctx, shards[si][0], shards[si][1], &empty), nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		for _, part := range parts {
-			if part == nil {
-				continue
-			}
-			if acc == nil {
-				acc = part
-				continue
-			}
-			acc = intersect(acc, part)
-			if acc.Len() == 0 {
-				break
-			}
-		}
-	}
-	if acc == nil {
-		// No valuations (impossible: the space always has at least one).
-		acc = relation.NewArity("cert∩", algebra.Arity(q, db))
-	}
-	if acc.Len() == 0 {
+	ev := opts.prepare(db, q, false)
+	var first *relation.Relation
+	space.EachRange(0, 1, func(v value.Valuation) bool {
+		w := ev.worlds()
+		w.Load(v)
+		first = w.Result()
+		return false
+	})
+	if first == nil || first.Len() == 0 {
 		return relation.NewArity("cert∩", algebra.Arity(q, db)), nil
 	}
-	return acc.Rename("cert∩"), nil
-}
-
-// intersect returns the set intersection a ∩ b as a fresh relation; both
-// the per-shard fold and the shard merge of Intersection use it.
-func intersect(a, b *relation.Relation) *relation.Relation {
-	out := relation.NewArity("cert∩", a.Arity())
-	a.Each(func(t value.Tuple, _ int) {
-		if b.Contains(t) {
+	if space.Size() == 1 {
+		return first.Rename("cert∩"), nil
+	}
+	candidates := first.Tuples()
+	alive, err := survivors(space, 1, candidates, opts, ev)
+	if err != nil {
+		return nil, err
+	}
+	out := relation.NewArity("cert∩", algebra.Arity(q, db))
+	for i, t := range candidates {
+		if alive[i] {
 			out.Add(t)
 		}
-	})
-	return out
+	}
+	return out, nil
 }
 
-// forallWorlds reports whether pred holds in every world of the space,
-// stopping — across all workers — at the first counterexample.
-func forallWorlds(space *Space, opts Options, pred func(v value.Valuation) bool) (bool, error) {
-	shards := space.shards(opts.engine())
-	if shards == nil {
-		holds := true
-		space.Each(func(v value.Valuation) bool {
-			if !pred(v) {
+// forallWorlds reports whether, in every world of the space, v(t̄) is an
+// answer exactly when want is true — stopping, across all workers, at the
+// first counterexample.
+func forallWorlds(space *Space, opts Options, ev evaluator, t value.Tuple, want bool) (bool, error) {
+	holdsRange := func(ctx context.Context, lo, hi int) (holds, stopped bool) {
+		w := ev.worlds()
+		buf := make(value.Tuple, len(t))
+		holds = true
+		space.EachRange(lo, hi, polled(ctx, &stopped, func(v value.Valuation) bool {
+			w.Load(v)
+			if w.Contains(v.ApplyInto(buf, t)) != want {
 				holds = false
-				return false
 			}
-			return true
-		})
+			return holds
+		}))
+		return holds, stopped
+	}
+	ctx := opts.ctx()
+	shards := space.shards(opts.engine(), 0)
+	if shards == nil {
+		holds, stopped := holdsRange(ctx, 0, space.Size())
+		if stopped {
+			return false, ctx.Err()
+		}
 		return holds, nil
 	}
-	refuted, err := engine.Search(context.Background(), opts.engine(), len(shards),
+	refuted, err := engine.Search(ctx, opts.engine(), len(shards),
 		func(ctx context.Context, si int) (bool, error) {
-			counterexample := false
-			step := 0
-			space.EachRange(shards[si][0], shards[si][1], func(v value.Valuation) bool {
-				step++
-				if step%pollInterval == 0 && engine.Canceled(ctx) {
-					return false
-				}
-				if !pred(v) {
-					counterexample = true
-					return false
-				}
-				return true
-			})
-			return counterexample, nil
+			holds, _ := holdsRange(ctx, shards[si][0], shards[si][1])
+			return !holds, nil
 		})
 	if err != nil {
 		return false, err
 	}
 	return !refuted, nil
-}
-
-// existsWorld reports whether pred holds in some world of the space,
-// stopping — across all workers — at the first witness.
-func existsWorld(space *Space, opts Options, pred func(v value.Valuation) bool) (bool, error) {
-	holds, err := forallWorlds(space, opts, func(v value.Valuation) bool { return !pred(v) })
-	if err != nil {
-		return false, err
-	}
-	return !holds, nil
 }
 
 // Bool computes certainty of a Boolean (zero-ary) query: true iff the
@@ -549,10 +538,9 @@ func Bool(db *relation.Database, q algebra.Expr, opts Options) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	eval := opts.worldEval(db, q, false)
-	return forallWorlds(space, opts, func(v value.Valuation) bool {
-		return algebra.BooleanResult(eval(db.ApplyShared(v)))
-	})
+	// A Boolean query holds iff its result contains the empty tuple
+	// (algebra.BooleanResult).
+	return forallWorlds(space, opts, opts.prepare(db, q, false), value.Tuple{}, true)
 }
 
 // PossibleTuple reports whether some valuation makes t̄ an answer:
@@ -562,7 +550,11 @@ func PossibleTuple(db *relation.Database, q algebra.Expr, t value.Tuple, opts Op
 	if err != nil {
 		return false, err
 	}
-	return existsWorld(space, opts, tupleInAnswerPred(db, q, t, opts))
+	never, err := forallWorlds(space, opts, opts.prepare(db, q, false), t, false)
+	if err != nil {
+		return false, err
+	}
+	return !never, nil
 }
 
 // CertainTuple reports whether t̄ ∈ cert⊥(Q, D) without computing the whole
@@ -572,24 +564,7 @@ func CertainTuple(db *relation.Database, q algebra.Expr, t value.Tuple, opts Opt
 	if err != nil {
 		return false, err
 	}
-	return forallWorlds(space, opts, tupleInAnswerPred(db, q, t, opts))
-}
-
-// tupleInAnswerPred builds the per-world membership test v(t̄) ∈ Q(v(D)).
-// A null-free t̄ is invariant under every valuation, so the common case
-// probes with t̄ itself and allocates nothing per world. (The predicate is
-// shared by all workers, so it cannot carry a mutable scratch buffer; the
-// prepared plan behind eval is concurrency-safe by construction.)
-func tupleInAnswerPred(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options) func(v value.Valuation) bool {
-	eval := opts.worldEval(db, q, false)
-	if !t.HasNull() {
-		return func(v value.Valuation) bool {
-			return eval(db.ApplyShared(v)).Contains(t)
-		}
-	}
-	return func(v value.Valuation) bool {
-		return eval(db.ApplyShared(v)).Contains(v.Apply(t))
-	}
+	return forallWorlds(space, opts, opts.prepare(db, q, false), t, true)
 }
 
 // BoxMult computes □Q(D, ā) of (6a): the minimum multiplicity of v(ā) in
@@ -615,20 +590,16 @@ func extremeMult(db *relation.Database, q algebra.Expr, t value.Tuple, opts Opti
 	if err != nil {
 		return 0, err
 	}
-	eval := opts.worldEval(db, q, true)
-	scanRange := func(ctx context.Context, lo, hi int, zero *engine.Flag) shardBest {
-		out := shardBest{}
+	ev := opts.prepare(db, q, true)
+	scanRange := func(ctx context.Context, lo, hi int, zero *engine.Flag) (out shardBest, stopped bool) {
+		w := ev.worlds()
 		buf := make(value.Tuple, len(t))
-		step := 0
-		space.EachRange(lo, hi, func(v value.Valuation) bool {
+		space.EachRange(lo, hi, polled(ctx, &stopped, func(v value.Valuation) bool {
 			if zero != nil && zero.IsSet() {
 				return false
 			}
-			step++
-			if ctx != nil && step%pollInterval == 0 && engine.Canceled(ctx) {
-				return false
-			}
-			m := eval(db.ApplyShared(v)).Mult(v.ApplyInto(buf, t))
+			w.Load(v)
+			m := w.Mult(v.ApplyInto(buf, t))
 			if !out.seen {
 				out.best = m
 				out.seen = true
@@ -643,18 +614,24 @@ func extremeMult(db *relation.Database, q algebra.Expr, t value.Tuple, opts Opti
 				return false
 			}
 			return true
-		})
-		return out
+		}))
+		return out, stopped
 	}
 
-	shards := space.shards(opts.engine())
+	ctx := opts.ctx()
+	shards := space.shards(opts.engine(), 0)
 	if shards == nil {
-		return scanRange(nil, 0, space.Size(), nil).best, nil
+		out, stopped := scanRange(ctx, 0, space.Size(), nil)
+		if stopped {
+			return 0, ctx.Err()
+		}
+		return out.best, nil
 	}
 	var zero engine.Flag
-	parts, err := engine.Map(context.Background(), opts.engine(), len(shards),
+	parts, err := engine.Map(ctx, opts.engine(), len(shards),
 		func(ctx context.Context, si int) (shardBest, error) {
-			return scanRange(ctx, shards[si][0], shards[si][1], &zero), nil
+			out, _ := scanRange(ctx, shards[si][0], shards[si][1], &zero)
+			return out, nil
 		})
 	if err != nil {
 		return 0, err

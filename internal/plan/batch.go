@@ -85,7 +85,7 @@ func (o *outBuf) unalloc(n int) {
 
 // reset clears the buffer for reuse by a later execution. Rewinding the
 // slab is safe exactly because no arena tuple outlives its execution: every
-// materialization boundary (relation.AddMult, root output, frozen results)
+// materialization boundary (relation.AddBatch, root output, frozen results)
 // clones tuples into relation-owned storage, and in-flight consumers (join
 // tables, dedup sets, null splits) die with the exec that filled them.
 func (o *outBuf) reset() {
@@ -94,22 +94,24 @@ func (o *outBuf) reset() {
 	o.slab = o.slab[:0]
 }
 
-// acquireBufs returns a per-execution buffer set for the plan's nodes,
-// recycled through the plan's pool. sync.Pool gives the per-worker-shard
-// reuse the oracles want for free: each worker goroutine executing worlds
-// back to back keeps getting its own warm buffer set.
-func (p *Plan) acquireBufs() []outBuf {
+// withBufs runs f with a per-execution buffer set for p's nodes installed
+// on x, recycled through the plan's pool. sync.Pool gives the per-worker-
+// shard reuse the oracles want for free: each worker goroutine executing
+// worlds back to back keeps getting its own warm buffer set.
+func (p *Plan) withBufs(x *exec, f func()) {
+	var bufs *[]outBuf
 	if v := p.bufPool.Get(); v != nil {
-		return *(v.(*[]outBuf))
+		bufs = v.(*[]outBuf)
+	} else {
+		b := make([]outBuf, len(p.nodes))
+		bufs = &b
 	}
-	return make([]outBuf, len(p.nodes))
-}
-
-func (p *Plan) releaseBufs(bufs []outBuf) {
-	for i := range bufs {
-		bufs[i].reset()
+	x.bufs = *bufs
+	f()
+	for i := range x.bufs {
+		x.bufs[i].reset()
 	}
-	p.bufPool.Put(&bufs)
+	p.bufPool.Put(bufs)
 }
 
 // out returns the executing node's output buffer.
@@ -118,12 +120,8 @@ func (x *exec) out(n pnode) *outBuf {
 }
 
 // relSink adapts a relation to the batch protocol (materialization
-// boundaries: node freezes, matRel, the root output). AddMult clones, so
-// arena-backed tuples never leak into a relation.
+// boundaries: node freezes, matRel, the root output). AddBatch copies new
+// tuples, so arena-backed tuples never leak into a relation.
 func relSink(out *relation.Relation) func(*vbatch) {
-	return func(b *vbatch) {
-		for i, t := range b.rows {
-			out.AddMult(t, b.mults[i])
-		}
-	}
+	return func(b *vbatch) { out.AddBatch(b.rows, b.mults) }
 }

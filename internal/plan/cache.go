@@ -113,14 +113,6 @@ func (c *PrepCache) Get(base *relation.Database, q algebra.Expr, mode algebra.Mo
 	return prep
 }
 
-// WorldEval is the cached counterpart of the package-level WorldEval: the
-// returned evaluator executes the (possibly reused) prepared plan against
-// worlds derived from base and is safe for concurrent use. A nil receiver
-// falls back to a one-shot Prepare.
-func (c *PrepCache) WorldEval(base *relation.Database, q algebra.Expr, mode algebra.Mode, bag bool) func(*relation.Database) *relation.Relation {
-	return c.Get(base, q, mode, bag).Exec
-}
-
 // remove drops key from the map and the LRU order; caller holds c.mu.
 func (c *PrepCache) remove(key string) {
 	delete(c.entries, key)

@@ -161,21 +161,15 @@ func TestPrepCacheWorldEvalMatchesFresh(t *testing.T) {
 	c := NewPrepCache(8)
 	q := algebra.Sel(algebra.Times(algebra.R("R"), algebra.R("S")), algebra.CEq(0, 2))
 
-	worlds := func() []*relation.Database {
-		var out []*relation.Database
-		for _, cst := range []string{"k1", "k2", "other"} {
+	for round := 0; round < 3; round++ {
+		cached := c.Get(db, q, algebra.ModeNaive, false).Worlds(db, nil)
+		fresh := PlanFor(q, db, algebra.ModeNaive, false).Prepare(db).Worlds(db, nil)
+		for i, cst := range []string{"k1", "k2", "other"} {
 			v := value.NewValuation()
 			v.Set(1, value.Const(cst))
-			out = append(out, db.ApplyShared(v))
-		}
-		return out
-	}
-
-	for round := 0; round < 3; round++ {
-		cached := c.WorldEval(db, q, algebra.ModeNaive, false)
-		fresh := WorldEval(db, q, algebra.ModeNaive, false)
-		for i, w := range worlds() {
-			got, want := cached(w), fresh(w)
+			cached.Load(v)
+			fresh.Load(v)
+			got, want := cached.Result(), fresh.Result()
 			if !got.Equal(want) {
 				t.Fatalf("round %d world %d: cached %s want %s", round, i, got, want)
 			}

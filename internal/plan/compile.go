@@ -498,7 +498,9 @@ func (c *compiler) project(in pnode, cols []int) pnode {
 			}
 			j.outCols = composed
 		} else {
-			j.outCols = append([]int(nil), cols...)
+			// Non-nil even when empty: a zero-ary projection must not read
+			// as "emit the full concatenation".
+			j.outCols = append([]int{}, cols...)
 		}
 		b.width = len(cols)
 		return j

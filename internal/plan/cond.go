@@ -96,7 +96,15 @@ func (c cnot) eval(x *exec, t value.Tuple) logic.TV {
 // probe is answered by one hash hit on the null-free part of the subquery
 // result plus a scan of its (typically few) rows with nulls.
 func (c cin) eval(x *exec, t value.Tuple) logic.TV {
-	probe := t.Project(c.cols)
+	// The probe never outlives this call (nested subplans run in their own
+	// exec), so it lives in the execution's scratch tuple.
+	if cap(x.probe) < len(c.cols) {
+		x.probe = make(value.Tuple, len(c.cols))
+	}
+	probe := x.probe[:len(c.cols)]
+	for i, col := range c.cols {
+		probe[i] = t[col]
+	}
 	if x.mode == algebra.ModeNaive {
 		return logic.FromBool(x.subRel(c.sub).Contains(probe))
 	}

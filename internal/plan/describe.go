@@ -44,6 +44,10 @@ type ExplainInfo struct {
 	Physical    *ExplainNode     `json:"physical"`
 	Subqueries  []*ExplainNode   `json:"subqueries,omitempty"`
 	UsedColumns map[string][]int `json:"used_columns,omitempty"`
+	// Worlds is how the world-enumerating oracles evaluate each world of
+	// this prepared plan: "delta" (the substituted null rows only,
+	// world.go) or "full" (the instantiated database). Empty unprepared.
+	Worlds string `json:"worlds,omitempty"`
 
 	// Analyze fields: populated by DescribeAnalyze after an instrumented
 	// execution. Actual per-node rows/batches/wall time land on the
@@ -117,6 +121,12 @@ func describeInfo(q algebra.Expr, cat algebra.Catalog, p *Plan, prep *Prepared, 
 	if p.bag {
 		info.Semantics = "bag"
 	}
+	if prep != nil {
+		info.Worlds = "full"
+		if prep.Delta() {
+			info.Worlds = "delta"
+		}
+	}
 	info.Physical = describeTree(p, p.root, prep, tr)
 	for _, sub := range p.subs {
 		info.Subqueries = append(info.Subqueries, describeTree(sub, sub.root, prep, tr))
@@ -177,6 +187,9 @@ func (info *ExplainInfo) Text() string {
 	fmt.Fprintf(&b, "query:    %s\n", info.Query)
 	fmt.Fprintf(&b, "logical:  %s\n", info.Logical)
 	fmt.Fprintf(&b, "mode:     %s, %s semantics\n", info.Mode, info.Semantics)
+	if info.Worlds != "" {
+		fmt.Fprintf(&b, "worlds:   %s\n", info.Worlds)
+	}
 	if info.Analyzed {
 		fmt.Fprintf(&b, "actual:   %d rows in %s (%d execution(s), %d frozen reuse(s))\n",
 			info.ResultRows, fmtMs(info.TotalMs), info.Execs, info.FrozenReuse)

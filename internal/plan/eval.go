@@ -101,14 +101,6 @@ func EvalBag(db *relation.Database, e algebra.Expr, mode algebra.Mode) *relation
 	return PlanFor(e, db, mode, true).Exec(db)
 }
 
-// WorldEval compiles and prepares q once against the base database and
-// returns the per-world evaluator the oracles loop on: each call evaluates
-// one world derived from base, reusing the plan and every frozen null-free
-// subplan. The returned function is safe for concurrent use.
-func WorldEval(base *relation.Database, q algebra.Expr, mode algebra.Mode, bag bool) func(world *relation.Database) *relation.Relation {
-	return PlanFor(q, base, mode, bag).Prepare(base).Exec
-}
-
 func init() {
 	// Installing the planner makes algebra.Eval/EvalBag planned-by-default
 	// in every binary that (transitively) links this package; the

@@ -24,8 +24,16 @@ type exec struct {
 	trace  *Trace
 	tstats []*NodeStat
 
-	subRels   map[*Plan]*relation.Relation
-	subSplits map[*Plan]*nullSplit
+	// nullFree makes every scan skip rows with nulls: the execution
+	// evaluates the plan over N(D), the null-free part of the database
+	// (the frozen root result of delta world evaluation, world.go).
+	nullFree bool
+
+	// memo holds the per-execution IN-subquery results, shared by every
+	// nesting level; allocated on first use (frozen subplans never need it).
+	memo *subMemo
+	// probe is the reusable IN-probe tuple (cond.go).
+	probe value.Tuple
 }
 
 // Exec evaluates the plan against db with no cross-world freezing and
@@ -43,18 +51,29 @@ func (p *Plan) ExecTraced(db *relation.Database, tr *Trace) *relation.Relation {
 }
 
 func (p *Plan) exec(db *relation.Database, prep *Prepared, tr *Trace) *relation.Relation {
-	x := &exec{db: db, prep: prep, mode: p.mode, bag: p.bag, plan: p, trace: tr,
-		subRels: map[*Plan]*relation.Relation{}, subSplits: map[*Plan]*nullSplit{}}
+	x := &exec{db: db, prep: prep, mode: p.mode, bag: p.bag, plan: p, trace: tr}
 	if tr != nil {
 		tr.Execs.Add(1)
 		if tr.detail {
 			x.tstats = tr.planStats(p)
 		}
 	}
-	x.bufs = p.acquireBufs()
-	out := p.materializeRoot(x)
-	p.releaseBufs(x.bufs)
+	var out *relation.Relation
+	p.withBufs(x, func() { out = p.materializeRoot(x) })
 	return out
+}
+
+// subMemo memoizes uncorrelated IN-subquery results within one execution.
+type subMemo struct {
+	rels   map[*Plan]*relation.Relation
+	splits map[*Plan]*nullSplit
+}
+
+func (x *exec) subs() *subMemo {
+	if x.memo == nil {
+		x.memo = &subMemo{rels: map[*Plan]*relation.Relation{}, splits: map[*Plan]*nullSplit{}}
+	}
+	return x.memo
 }
 
 func (p *Plan) materializeRoot(x *exec) *relation.Relation {
@@ -122,7 +141,7 @@ func matRel(n pnode, x *exec) *relation.Relation {
 	if r := x.frozenRel(n); r != nil {
 		return r
 	}
-	if s, ok := n.(*pscan); ok && s.cols == nil && x.tstats == nil {
+	if s, ok := n.(*pscan); ok && s.cols == nil && x.tstats == nil && !x.nullFree {
 		// Shared-source shortcut, skipped under detail tracing so the scan's
 		// actual rows are counted (materializing preserves the result).
 		return x.source(s.name)
@@ -153,18 +172,18 @@ func (x *exec) subRel(sub *Plan) *relation.Relation {
 			return r
 		}
 	}
-	if r := x.subRels[sub]; r != nil {
+	memo := x.subs()
+	if r := memo.rels[sub]; r != nil {
 		return r
 	}
 	sx := &exec{db: x.db, prep: x.prep, mode: sub.mode, bag: false, plan: sub,
-		trace: x.trace, subRels: x.subRels, subSplits: x.subSplits}
+		trace: x.trace, memo: memo}
 	if x.trace != nil && x.trace.detail {
 		sx.tstats = x.trace.planStats(sub)
 	}
-	sx.bufs = sub.acquireBufs()
-	r := sub.materializeRoot(sx)
-	sub.releaseBufs(sx.bufs)
-	x.subRels[sub] = r
+	var r *relation.Relation
+	sub.withBufs(sx, func() { r = sub.materializeRoot(sx) })
+	memo.rels[sub] = r
 	return r
 }
 
@@ -195,11 +214,12 @@ func (x *exec) subSplit(sub *Plan) *nullSplit {
 			return s
 		}
 	}
-	if s := x.subSplits[sub]; s != nil {
+	memo := x.subs()
+	if s := memo.splits[sub]; s != nil {
 		return s
 	}
 	s := splitNulls(x.subRel(sub))
-	x.subSplits[sub] = s
+	memo.splits[sub] = s
 	return s
 }
 
@@ -224,12 +244,18 @@ func (n *pscan) run(x *exec, emit func(*vbatch)) {
 	if n.cols == nil {
 		// Full-width scan: stored tuples stream through by reference.
 		src.EachUnordered(func(t value.Tuple, m int) {
+			if x.nullFree && t.HasNull() {
+				return
+			}
 			o.push(t, x.multOf(m), emit)
 		})
 	} else {
 		// Pruned scan: emit narrowed tuples carved from the arena slab.
 		w := len(n.cols)
 		src.EachUnordered(func(t value.Tuple, m int) {
+			if x.nullFree && t.HasNull() {
+				return
+			}
 			nt := o.alloc(w)
 			for i, c := range n.cols {
 				nt[i] = t[c]

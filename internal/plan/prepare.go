@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"sync"
+
 	"incdb/internal/algebra"
 	"incdb/internal/relation"
 	"incdb/internal/value"
@@ -36,6 +38,12 @@ type Prepared struct {
 	// the base, so domAll extends the guard to the whole catalogue.
 	guards []relGuard
 	domAll bool
+
+	// deltaOK records whether worlds take the delta path (world.go);
+	// delta is its world-invariant state, built on first use.
+	deltaOK   bool
+	deltaOnce sync.Once
+	delta     *deltaState
 }
 
 // relGuard pins one base relation: same object, same mutation version.
@@ -117,6 +125,7 @@ func (p *Plan) Prepare(base *relation.Database) *Prepared {
 		}
 	}
 	prep.freezeNodes(p)
+	prep.deltaOK = prep.deltaLinear()
 	return prep
 }
 
@@ -177,18 +186,15 @@ func (prep *Prepared) freezeNodes(q *Plan) {
 // run materializes one node of q against the base database, reusing
 // already-frozen inner results.
 func (prep *Prepared) run(q *Plan, n pnode) *relation.Relation {
-	x := &exec{db: prep.base, prep: prep, mode: q.mode, bag: q.bag, plan: q,
-		subRels: map[*Plan]*relation.Relation{}, subSplits: map[*Plan]*nullSplit{}}
+	x := &exec{db: prep.base, prep: prep, mode: q.mode, bag: q.bag, plan: q}
 	if s, ok := n.(*pscan); ok && s.cols == nil {
 		// A static full-width base relation is shared as-is: stored rows are
 		// immutable and every consumer is read-only. A pruned scan emits
 		// narrowed tuples, so it materializes below like any other node.
 		return x.source(s.name)
 	}
-	x.bufs = q.acquireBufs()
 	out := relation.NewArity("t", n.base().width)
-	n.run(x, relSink(out))
-	q.releaseBufs(x.bufs)
+	q.withBufs(x, func() { n.run(x, relSink(out)) })
 	return out
 }
 

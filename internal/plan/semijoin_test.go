@@ -60,12 +60,13 @@ func TestDistinctDedupsSubqueryStream(t *testing.T) {
 		algebra.CIn(algebra.Proj(algebra.R("Wide"), 0), 0))
 	p := compile(q, db, algebra.ModeNaive, false)
 	sub := p.subs[0]
-	x := &exec{db: db, mode: sub.mode, plan: sub, bufs: sub.acquireBufs(),
-		subRels: map[*Plan]*relation.Relation{}, subSplits: map[*Plan]*nullSplit{}}
+	x := &exec{db: db, mode: sub.mode, plan: sub}
 
 	inner, root := 0, 0
-	stream(sub.root.(*pdistinct).in, x, func(b *vbatch) { inner += len(b.rows) })
-	stream(sub.root, x, func(b *vbatch) { root += len(b.rows) })
+	sub.withBufs(x, func() {
+		stream(sub.root.(*pdistinct).in, x, func(b *vbatch) { inner += len(b.rows) })
+		stream(sub.root, x, func(b *vbatch) { root += len(b.rows) })
+	})
 	if inner != 100 {
 		t.Fatalf("projection stream emitted %d rows, want 100 (4 values × 25 dups)", inner)
 	}

@@ -48,20 +48,6 @@ type Options struct {
 	Trace *plan.Trace
 }
 
-// worldEval returns the shared per-world evaluator; as in internal/certain,
-// the plan's batch buffers recycle per worker shard via its sync.Pool, so
-// the µᵏ counting loop pays for rows, not per-world allocations.
-func (o Options) worldEval(db *relation.Database, q algebra.Expr) func(*relation.Database) *relation.Relation {
-	prep := o.Prep.Get(db, q, algebra.ModeNaive, false)
-	if o.Trace == nil {
-		return prep.Exec
-	}
-	tr := o.Trace
-	return func(w *relation.Database) *relation.Relation {
-		return prep.ExecTraced(w, tr)
-	}
-}
-
 // relevantConsts collects R = Const(D) ∪ consts(Q) ∪ consts(ā).
 func relevantConsts(db *relation.Database, q algebra.Expr, tuple value.Tuple) []value.Value {
 	seen := map[value.Value]bool{}
@@ -148,21 +134,25 @@ func suppCounts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tup
 	if total < 0 {
 		return 0, 0, fmt.Errorf("prob: %d^%d valuations overflow the enumeration", len(rng), len(ids))
 	}
-	// Compile and prepare the query once for the whole kⁿ enumeration; the
-	// prepared plan is shared by all worker shards (and, with opts.Prep,
-	// reused across calls under its version guard).
-	eval := opts.worldEval(db, q)
+	// Compile and prepare the query once for the whole kⁿ enumeration; as
+	// in internal/certain, every worker shard evaluates its worlds through
+	// its own plan.Worlds over the shared Prepared (reused across calls
+	// under its version guard with opts.Prep), so a delta-linear query's
+	// counting loop touches only the substituted null rows per world.
+	prep := opts.Prep.Get(db, q, algebra.ModeNaive, false)
 	countRange := func(lo, hi int) (num, den int64) {
-		// One instantiation buffer per worker shard; ā is tiny but the
-		// enumeration visits kⁿ worlds, so per-world allocations add up.
+		// One evaluator and instantiation buffer per worker shard; ā is
+		// tiny but the enumeration visits kⁿ worlds, so per-world
+		// allocations add up.
+		w := prep.Worlds(db, opts.Trace)
 		buf := make(value.Tuple, len(tuple))
 		value.EnumValuations(ids, rng, lo, hi, func(v value.Valuation) bool {
-			world := db.ApplyShared(v)
-			if sigma != nil && !sigma.Holds(world) {
+			if sigma != nil && !sigma.Holds(db.ApplyShared(v)) {
 				return true
 			}
 			den++
-			if eval(world).Contains(v.ApplyInto(buf, tuple)) {
+			w.Load(v)
+			if w.Contains(v.ApplyInto(buf, tuple)) {
 				num++
 			}
 			return true
@@ -210,9 +200,11 @@ type patternEnum struct {
 	ids   []uint64
 	rel   []value.Value
 	fresh []value.Value
-	// eval is the per-world evaluator: one prepared plan shared by every
-	// branch worker, frozen over the base database's null-free relations.
-	eval func(*relation.Database) *relation.Relation
+	// prep is one prepared plan shared by every branch worker, frozen over
+	// the base database's null-free relations; each worker evaluates its
+	// leaves through its own plan.Worlds.
+	prep  *plan.Prepared
+	trace *plan.Trace
 }
 
 // count enumerates the patterns extending v from position i with the given
@@ -220,23 +212,24 @@ type patternEnum struct {
 // Each null gets either a relevant constant or a fresh class in
 // restricted-growth order (class b may be used at position i only if
 // classes 0..b-1 appear before).
-// buf is a per-worker instantiation buffer for e.tuple (len(e.tuple)); the
-// enumeration is exponential in the nulls, so leaf checks must not allocate.
-func (e *patternEnum) count(v value.Valuation, buf value.Tuple, i, classes int, numTop, denTop []int64) {
+// w and buf are the worker's world evaluator and instantiation buffer for
+// e.tuple (len(e.tuple)); the enumeration is exponential in the nulls, so
+// leaf checks must not allocate.
+func (e *patternEnum) count(w *plan.Worlds, v value.Valuation, buf value.Tuple, i, classes int, numTop, denTop []int64) {
 	if i == len(e.ids) {
-		world := e.db.ApplyShared(v)
-		if e.sigma != nil && !e.sigma.Holds(world) {
+		if e.sigma != nil && !e.sigma.Holds(e.db.ApplyShared(v)) {
 			return
 		}
 		denTop[classes]++
-		if e.eval(world).Contains(v.ApplyInto(buf, e.tuple)) {
+		w.Load(v)
+		if w.Contains(v.ApplyInto(buf, e.tuple)) {
 			numTop[classes]++
 		}
 		return
 	}
 	for j := range e.rel {
 		v.Set(e.ids[i], e.rel[j])
-		e.count(v, buf, i+1, classes, numTop, denTop)
+		e.count(w, v, buf, i+1, classes, numTop, denTop)
 	}
 	for b := 0; b <= classes && b < len(e.fresh); b++ {
 		v.Set(e.ids[i], e.fresh[b])
@@ -244,9 +237,12 @@ func (e *patternEnum) count(v value.Valuation, buf value.Tuple, i, classes int, 
 		if b == classes {
 			next = classes + 1
 		}
-		e.count(v, buf, i+1, next, numTop, denTop)
+		e.count(w, v, buf, i+1, next, numTop, denTop)
 	}
 }
+
+// worlds returns a fresh per-worker world evaluator.
+func (e *patternEnum) worlds() *plan.Worlds { return e.prep.Worlds(e.db, e.trace) }
 
 // MuWith is Mu with an explicit worker pool. The pattern tree is sharded on
 // the first null's choice (each relevant constant, or the first fresh
@@ -267,7 +263,7 @@ func MuOpts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple v
 	rel := relevantConsts(db, q, tuple)
 	fresh := freshConsts(len(ids), rel)
 	e := &patternEnum{db: db, q: q, sigma: sigma, tuple: tuple, ids: ids, rel: rel, fresh: fresh,
-		eval: opts.worldEval(db, q)}
+		prep: opts.Prep.Get(db, q, algebra.ModeNaive, false), trace: opts.Trace}
 
 	// numTop[m] / denTop[m]: number of patterns with m fresh classes
 	// satisfying Σ∧Q, resp. Σ.
@@ -280,21 +276,21 @@ func MuOpts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple v
 	bound := value.EnumSize(ids, append(append([]value.Value{}, rel...), fresh...))
 	small := bound >= 0 && bound < engine.MinParallel
 	if len(ids) == 0 || eng.WorkerCount() == 1 || branches == 1 || small {
-		e.count(value.NewValuation(), make(value.Tuple, len(tuple)), 0, 0, numTop, denTop)
+		e.count(e.worlds(), value.NewValuation(), make(value.Tuple, len(tuple)), 0, 0, numTop, denTop)
 	} else {
 		type coeffs struct{ num, den []int64 }
 		parts, err := engine.Map(context.Background(), eng, branches,
 			func(_ context.Context, bi int) (coeffs, error) {
-				v := value.NewValuation()
+				w, v := e.worlds(), value.NewValuation()
 				buf := make(value.Tuple, len(tuple))
 				num := make([]int64, len(ids)+1)
 				den := make([]int64, len(ids)+1)
 				if bi < len(rel) {
 					v.Set(ids[0], rel[bi])
-					e.count(v, buf, 1, 0, num, den)
+					e.count(w, v, buf, 1, 0, num, den)
 				} else {
 					v.Set(ids[0], fresh[0])
-					e.count(v, buf, 1, 1, num, den)
+					e.count(w, v, buf, 1, 1, num, den)
 				}
 				return coeffs{num, den}, nil
 			})

@@ -81,11 +81,29 @@ func New(name string, attrs ...string) *Relation {
 // NewArity returns an empty relation with the given arity and synthesized
 // attribute names #0, #1, ….
 func NewArity(name string, arity int) *Relation {
+	if arity < len(positional) {
+		// Attribute slices are read-only, so relations share these.
+		return New(name, positional[arity]...)
+	}
+	return New(name, positionalAttrs(arity)...)
+}
+
+// positional caches the synthesized attribute names of small arities:
+// query evaluation creates relations of them per execution.
+var positional = func() [][]string {
+	out := make([][]string, 16)
+	for i := range out {
+		out[i] = positionalAttrs(i)
+	}
+	return out
+}()
+
+func positionalAttrs(arity int) []string {
 	attrs := make([]string, arity)
 	for i := range attrs {
 		attrs[i] = fmt.Sprintf("#%d", i)
 	}
-	return New(name, attrs...)
+	return attrs
 }
 
 // Name returns the relation name.
@@ -199,23 +217,33 @@ func (r *Relation) AddMult(t value.Tuple, m int) {
 	}
 }
 
-// addFrozen inserts m occurrences of an immutable tuple with a known hash,
-// skipping both the re-hash and the defensive clone. It is the fast path of
-// Apply/Clone: stored rows are never mutated, so sharing the tuple slice
-// between the source and destination relation is safe.
-func (r *Relation) addFrozen(t value.Tuple, h uint64, hasNull bool, m int) {
-	if e := r.lookup(t, h); e != nil {
-		e.mult += m
-		if e.mult <= 0 {
-			r.removeRow(t, h)
+// AddBatch is AddMult(ts[i], ms[i]) for every i, with the copies of new
+// tuples and their rows carved out of a few slabs per call instead of
+// allocated one by one: the bulk insertion path of query materialization.
+func (r *Relation) AddBatch(ts []value.Tuple, ms []int) {
+	r.invalidate()
+	// Size the slabs by the tuples not stored yet, so a batch of repeats
+	// (set-semantics projections) does not pin unused capacity.
+	fresh := 0
+	for i, t := range ts {
+		if len(t) != r.arity {
+			panic(fmt.Sprintf("relation %s: arity mismatch: tuple %v vs arity %d", r.name, t, r.arity))
 		}
-		return
+		if ms[i] > 0 && r.lookup(t, t.Hash()) == nil {
+			fresh++
+		}
 	}
-	if m <= 0 {
-		return
+	vals := make([]value.Value, 0, fresh*r.arity)
+	s := rowSlab{rows: make([]row, 0, fresh), buckets: make([]*row, 0, fresh)}
+	for i, t := range ts {
+		h := t.Hash()
+		if r.lookup(t, h) == nil && ms[i] > 0 {
+			l := len(vals)
+			vals = append(vals, t...)
+			t = vals[l:len(vals):len(vals)]
+		}
+		r.addSlab(&s, t, h, t.HasNull(), ms[i])
 	}
-	r.rows[h] = append(r.rows[h], &row{t: t, hash: h, mult: m, hasNull: hasNull})
-	r.distinct++
 }
 
 // SetMult sets the multiplicity of t to m exactly (removing it when m<=0).
@@ -473,22 +501,73 @@ func (r *Relation) HasNulls() bool {
 //
 // Null-free rows cannot change under any valuation, so they are inserted by
 // sharing the stored tuple and its cached hash — the oracle's per-world
-// instantiation therefore re-hashes and re-allocates only the rows that
-// actually mention nulls.
+// instantiation therefore re-hashes only the rows that actually mention
+// nulls. The rows, their buckets and the substituted tuples are carved out
+// of three slabs, so instantiating a relation costs a handful of
+// allocations however many rows it holds.
 func (r *Relation) Apply(v value.Valuation) *Relation {
-	out := New(r.name, r.attrs...)
+	out := &Relation{name: r.name, attrs: r.attrs, arity: r.arity, rows: make(map[uint64][]*row, r.distinct)}
+	nulls := 0
+	r.eachStored(func(e *row) bool {
+		if e.hasNull {
+			nulls++
+		}
+		return true
+	})
+	s := rowSlab{rows: make([]row, 0, r.distinct), buckets: make([]*row, 0, r.distinct)}
+	vals := make([]value.Value, nulls*r.arity)
 	r.eachStored(func(e *row) bool {
 		if !e.hasNull {
-			out.addFrozen(e.t, e.hash, false, e.mult)
+			out.addSlab(&s, e.t, e.hash, false, e.mult)
 			return true
 		}
-		// The instantiated tuple is exclusively ours, so it can be stored
-		// frozen too — one allocation and one hash per null row per world.
-		nt := v.Apply(e.t)
-		out.addFrozen(nt, nt.Hash(), nt.HasNull(), e.mult)
+		// The instantiated tuple is exclusively ours, so it is stored
+		// frozen too: one hash per null row per world.
+		nt := value.Tuple(vals[:r.arity:r.arity])
+		vals = vals[r.arity:]
+		v.ApplyInto(nt, e.t)
+		out.addSlab(&s, nt, nt.Hash(), nt.HasNull(), e.mult)
 		return true
 	})
 	return out
+}
+
+// rowSlab backs rows inserted in one go: the row structs, and one
+// single-entry bucket per new hash. Callers size both up front; should one
+// still grow, earlier rows stay on the old array, which their pointers keep
+// alive. A bucket slice is capped at its own entry, so a later collision
+// or insertion appends into a fresh array instead of a neighbour's slot.
+type rowSlab struct {
+	rows    []row
+	buckets []*row
+}
+
+// addSlab inserts m occurrences of an immutable tuple with a known hash,
+// skipping both the re-hash and the defensive clone, and allocating the row
+// from s. It is the fast path of Apply: stored rows are never mutated, so
+// sharing the tuple slice between the source and destination relation is
+// safe.
+func (r *Relation) addSlab(s *rowSlab, t value.Tuple, h uint64, hasNull bool, m int) {
+	if e := r.lookup(t, h); e != nil {
+		e.mult += m
+		if e.mult <= 0 {
+			r.removeRow(t, h)
+		}
+		return
+	}
+	if m <= 0 {
+		return
+	}
+	s.rows = append(s.rows, row{t: t, hash: h, mult: m, hasNull: hasNull})
+	e := &s.rows[len(s.rows)-1]
+	if bucket := r.rows[h]; len(bucket) > 0 {
+		r.rows[h] = append(bucket, e)
+	} else {
+		s.buckets = append(s.buckets, e)
+		n := len(s.buckets)
+		r.rows[h] = s.buckets[n-1 : n : n]
+	}
+	r.distinct++
 }
 
 // String renders the relation as a small aligned table, deterministically.

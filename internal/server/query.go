@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -59,8 +60,10 @@ func procName(proc string) string {
 // counters (worlds enumerated, frozen-subplan reuse) across every plan the
 // request runs — the oracle paths hand it to their per-world evaluations
 // via Options.Trace; the ctable strategies keep their own machinery and
-// contribute nothing. Results are identical with tr nil.
-func (s *Server) evaluate(sess *session, req *api.QueryRequest, tr *plan.Trace) ([]api.Resultset, error) {
+// contribute nothing. Results are identical with tr nil. ctx is the
+// request's context: the world-enumerating oracles stop when it ends and
+// return its error.
+func (s *Server) evaluate(ctx context.Context, sess *session, req *api.QueryRequest, tr *plan.Trace) ([]api.Resultset, error) {
 	q, err := raparse.ParseQuery(req.Query)
 	if err != nil {
 		return nil, err
@@ -75,6 +78,7 @@ func (s *Server) evaluate(sess *session, req *api.QueryRequest, tr *plan.Trace) 
 		Workers:   s.opts.Workers,
 		Prep:      sess.prep,
 		Trace:     tr,
+		Context:   ctx,
 	}
 	if certOpts.MaxWorlds <= 0 {
 		certOpts.MaxWorlds = s.opts.MaxWorlds
@@ -189,7 +193,7 @@ func (s *Server) warmSession(sess *session, keys []store.WarmKey) {
 			sess.prep.Get(sess.db, q, algebra.ModeNaive, k.Bag)
 		case "cert", "inter":
 			// The oracles evaluate per world through a ModeNaive set-
-			// semantics prepared plan (certain.Options.worldEval).
+			// semantics prepared plan (certain.Options.prepare).
 			sess.prep.Get(sess.db, q, algebra.ModeNaive, false)
 		case "plus", "poss":
 			plusQ, possQ, err := translate.Fig2b(q)

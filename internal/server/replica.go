@@ -314,6 +314,12 @@ func (r *replicator) bootstrap(ctx context.Context, c *Client, fs *followState, 
 			fs.name, snap.Epoch, localEpoch)
 	}
 	r.s.observeEpoch(snap.Epoch)
+	// Publish the follower counters before the new version vector becomes
+	// visible: a reader that observes the bootstrapped state (consistency
+	// tokens, /v1/sessions) must also find it counted in /v1/status.
+	fs.applied.Store(snap.Seq)
+	fs.lastApplied.Store(time.Now().UnixNano())
+	fs.bootstraps.Add(1)
 	sess.logMu.Lock()
 	sess.mu.Lock()
 	sess.db = db
@@ -332,9 +338,6 @@ func (r *replicator) bootstrap(ctx context.Context, c *Client, fs *followState, 
 	}
 	sess.warm.seed(snap.Warm)
 	r.s.warmSession(sess, snap.Warm)
-	fs.applied.Store(snap.Seq)
-	fs.lastApplied.Store(time.Now().UnixNano())
-	fs.bootstraps.Add(1)
 	log.Printf("server: replica bootstrapped session %q at seq %d (%d relations)",
 		fs.name, snap.Seq, len(db.Names()))
 	return nil

@@ -499,6 +499,11 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // the JSON decoder fails with a 400 instead of buffering without bound.
 const maxBodyBytes = 64 << 20
 
+// statusClientClosed answers a query whose client went away mid-evaluation
+// (the de-facto "client closed request" status; nobody reads the body, but
+// access logs and error metrics see it).
+const statusClientClosed = 499
+
 // ListenAndServe serves until ctx is canceled, then shuts down gracefully:
 // new mutations are refused first (shutting_down — nothing new enters the
 // WAL while we leave), then the listener closes and in-flight requests get
@@ -1124,8 +1129,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 	// pprof labels segment -pprof-addr CPU profiles by workload; the
 	// trace ID lets a profile sample be joined back to its trace.
 	pprof.Do(r.Context(), pprof.Labels("session", name, "proc", procName(req.Proc), "trace_id", sp.TraceID()),
-		func(context.Context) {
-			results, err = s.evaluate(sess, &req, tr)
+		func(ctx context.Context) {
+			results, err = s.evaluate(ctx, sess, &req, tr)
 		})
 	if err == nil {
 		sess.results.put(key, results)
@@ -1134,6 +1139,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 	if err != nil {
 		esp.SetError(err.Error())
 		esp.End()
+		if r.Context().Err() != nil {
+			s.fail(w, api.Errorf(statusClientClosed, api.CodeCanceled, "evaluation stopped: %v", err))
+			return
+		}
 		s.fail(w, api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery, "%v", err))
 		return
 	}

@@ -1,15 +1,19 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
-
 	"fmt"
-	"incdb/internal/api"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"incdb/internal/api"
 )
 
 const ordersData = `
@@ -440,5 +444,68 @@ func TestSessionsAreIsolated(t *testing.T) {
 	}
 	if len(qa.Results[0].Rows) != 1 || len(qb.Results[0].Rows) != 0 {
 		t.Fatalf("sessions not isolated: a=%v b=%v", qa.Results[0].Rows, qb.Results[0].Rows)
+	}
+}
+
+// TestCancelledQueryFreesSlot: a client that gives up on a query whose
+// valuation space takes far longer than the test to enumerate gets its
+// evaluation stopped — the only evaluation slot is free again within a
+// bounded time, and the next query is served from it.
+func TestCancelledQueryFreesSlot(t *testing.T) {
+	srv := New(Options{Workers: 2, MaxInFlight: 1})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	c := NewClient(hs.URL, "test")
+	var data strings.Builder
+	data.WriteString("rel R a\nrel S a\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&data, "row R k%d\n", i)
+	}
+	for i := 1; i <= 4; i++ {
+		fmt.Fprintf(&data, "row S _%d\n", i)
+	}
+	if _, err := c.Load(data.String(), false); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	// R − (S − S) is R in every world, so no candidate dies early, and the
+	// plan falls back to full instantiation: 45⁴ worlds.
+	body, err := json.Marshal(api.QueryRequest{Query: "minus(R, minus(S, S))", Proc: "cert", MaxWorlds: 1 << 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/sessions/test/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.inflight.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("query never took the evaluation slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("cancelled request completed: the enumeration finished before the cancel")
+	}
+	deadline = time.Now().Add(3 * time.Second)
+	for srv.inflight.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("evaluation slot still held 3 s after the client cancelled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := c.Query("proj(0, R)", "cert", false, 0); err != nil {
+		t.Fatalf("query after the cancelled one: %v", err)
 	}
 }
