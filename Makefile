@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fmt fmt-check vet build test race bench bench-compare bench-server smoke smoke-replication smoke-failover clean ci
+.PHONY: all fmt fmt-check vet build test race bench perfbench bench-compare bench-server smoke smoke-replication smoke-failover clean ci
 
 all: build
 
@@ -33,6 +33,10 @@ race:
 # runs, not a measurement.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The benchmark is its own Go module, which the root vet and test skip.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Measure the working tree against the previous commit (or BASE=<ref>),
 # report via benchstat when available, and emit BENCH_COMPARE.json. Fails when
@@ -67,4 +71,4 @@ smoke-replication:
 smoke-failover:
 	./scripts/smoke_failover.sh
 
-ci: fmt-check vet build race bench smoke smoke-replication smoke-failover
+ci: fmt-check vet build race bench perfbench smoke smoke-replication smoke-failover

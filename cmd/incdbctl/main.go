@@ -13,7 +13,7 @@
 // The explain subcommand prints the optimized logical expression and the
 // compiled physical plan (with the subplans frozen across valuations
 // marked) instead of evaluating; -format json emits the same structured
-// rendering the incdbd server's /v1/explain endpoint returns:
+// rendering the incdbd server's explain endpoint returns:
 //
 //	incdbctl explain -db data.idb [-sql] [-bag] [-analyze] [-format text|json] "minus(proj(0, Customers), proj(0, Payments))"
 //
@@ -59,11 +59,11 @@ import (
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
 	"incdb/internal/core"
-	"incdb/internal/ctable"
 	"incdb/internal/engine"
 	"incdb/internal/plan"
 	"incdb/internal/raparse"
 	"incdb/internal/relation"
+	"incdb/internal/server"
 )
 
 func main() {
@@ -119,7 +119,7 @@ func main() {
 
 // runExplain parses `explain` flags and prints the plan for the query —
 // as text, or with -format json as the structured plan.Describe rendering
-// the server's /v1/explain endpoint returns (one rendering path for both).
+// the server's explain endpoint returns (one rendering path for both).
 func runExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	dbPath := fs.String("db", "", "database file (raparse format)")
@@ -232,19 +232,6 @@ func run(dbPath, mode, querySrc string, maxWorlds, workers int) error {
 		} else {
 			show("Qf", qf, nil)
 		}
-	case "ctable-eager", "ctable-semi", "ctable-lazy", "ctable-aware":
-		strat := map[string]ctable.Strategy{
-			"ctable-eager": ctable.Eager,
-			"ctable-semi":  ctable.SemiEager,
-			"ctable-lazy":  ctable.Lazy,
-			"ctable-aware": ctable.Aware,
-		}[mode]
-		cpart, ppart, err := core.CTableAnswersWith(db, q, strat, eng)
-		if err != nil {
-			return err
-		}
-		show("certain", cpart, nil)
-		show("possible", ppart, nil)
 	case "report":
 		rep := core.Analyze(db, q, opts)
 		show("sql", rep.SQLAnswers, nil)
@@ -257,7 +244,16 @@ func run(dbPath, mode, querySrc string, maxWorlds, workers int) error {
 			fmt.Printf("SQL false negatives: %v\n", rep.FalseNegatives)
 		}
 	default:
-		return fmt.Errorf("unknown mode %q", mode)
+		strat, ok := server.CTableStrategy(mode)
+		if !ok {
+			return fmt.Errorf("unknown mode %q", mode)
+		}
+		cpart, ppart, err := core.CTableAnswersWith(db, q, strat, eng)
+		if err != nil {
+			return err
+		}
+		show("certain", cpart, nil)
+		show("possible", ppart, nil)
 	}
 	return nil
 }

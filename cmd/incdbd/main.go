@@ -23,8 +23,8 @@
 // not yet cover before answering 412 stale_replica.
 //
 // Endpoints are session-scoped — POST /v1/sessions/{name}/load|query|explain,
-// GET /v1/sessions/{name}/status|snapshot|wal — plus GET /v1/status and
-// legacy flat routes (see internal/server). The incdbctl client subcommand
+// GET /v1/sessions/{name}/status|snapshot|wal — plus GET /v1/status (see
+// internal/server). The incdbctl client subcommand
 // (and its REPL) speaks the same protocol:
 //
 //	incdbctl client -addr http://localhost:8080 -session default

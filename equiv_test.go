@@ -6,6 +6,7 @@
 package incdb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -338,6 +339,41 @@ func TestPlannerMatchesInterpreterJoins(t *testing.T) {
 			mustEvalEqual(t, db, tc.q, tc.name)
 		}
 	}
+	// A fixed instance with repeated join keys, a marked null shared by
+	// both join sides and bag duplicates, under equi-joins including a
+	// reversed-column Eq with an extra conjunct.
+	db := joinDB()
+	for _, tc := range queries {
+		mustEvalEqual(t, db, tc.q, "joinDB "+tc.name)
+	}
+	for i, cond := range []algebra.Cond{
+		algebra.CEq(0, 2),
+		algebra.CAnd(algebra.CEq(0, 2), algebra.CNeqC(1, value.Const("dup"))),
+		algebra.CAnd(algebra.CEq(2, 0), algebra.CLess(1, 3)),
+	} {
+		q := algebra.Sel(algebra.Times(algebra.R("R"), algebra.R("T")), cond)
+		mustEvalEqual(t, db, q, fmt.Sprintf("joinDB cond %d", i))
+	}
+}
+
+// joinDB is an instance over gen.Schema() built to stress equi-joins of R
+// and T: repeated keys on both sides, ⊥1 on both sides, bag duplicates.
+func joinDB() *relation.Database {
+	db := gen.Schema()
+	r, s, tt := db.Relation("R"), db.Relation("S"), db.Relation("T")
+	for i := 0; i < 25; i++ {
+		r.Add(value.Consts(fmt.Sprintf("k%d", i%9), fmt.Sprintf("v%d", i)))
+		tt.Add(value.Consts(fmt.Sprintf("k%d", i%7), fmt.Sprintf("w%d", i)))
+	}
+	r.Add(value.T(value.Null(1), value.Const("vx")))
+	r.Add(value.T(value.Null(2), value.Const("vy")))
+	r.AddMult(value.Consts("k1", "dup"), 3)
+	tt.Add(value.T(value.Null(1), value.Const("wx")))
+	tt.Add(value.T(value.Null(3), value.Const("wz")))
+	tt.AddMult(value.Consts("k1", "dupS"), 2)
+	s.Add(value.Consts("v1"))
+	s.Add(value.T(value.Null(1)))
+	return db
 }
 
 // TestPreparedMatchesPerWorldEval locks in the oracle contract: executing a

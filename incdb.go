@@ -191,7 +191,7 @@ var (
 	Explain = plan.Explain
 
 	// Describe is the structured form of Explain (the JSON the incdbd
-	// server's /v1/explain endpoint and incdbctl explain -format json
+	// server's explain endpoint and incdbctl explain -format json
 	// emit).
 	Describe = plan.Describe
 

@@ -430,3 +430,51 @@ func TestJoinHelper(t *testing.T) {
 		t.Fatalf("join = %v", got)
 	}
 }
+
+// TestThreeValuedInHashPath pins the three-valued IN semantics: T when a
+// subquery row equals the probe, U via subquery nulls or a null probe, F
+// when nothing can match.
+func TestThreeValuedInHashPath(t *testing.T) {
+	db := relation.NewDatabase()
+	r := relation.New("R", "a")
+	r.Add(value.Consts("hit"))
+	r.Add(value.Consts("miss"))
+	r.Add(value.T(value.Null(9)))
+	db.Add(r)
+	s := relation.New("S", "x")
+	s.Add(value.Consts("hit"))
+	s.Add(value.T(value.Null(1)))
+	db.Add(s)
+
+	q := Sel(Rel{Name: "R"}, InSub{Cols: []int{0}, Sub: Rel{Name: "S"}})
+	got := Eval(db, q, ModeSQL)
+	// SQL keeps only t rows: "hit" matches the null-free part; "miss" is
+	// unknown (the subquery null); the null probe is unknown.
+	if got.Len() != 1 || !got.Contains(value.Consts("hit")) {
+		t.Errorf("IN under SQL = %s, want {hit}", got)
+	}
+
+	// NOT IN flips t and f: with a null in S nothing is certainly absent.
+	qn := Sel(Rel{Name: "R"}, Not{C: InSub{Cols: []int{0}, Sub: Rel{Name: "S"}}})
+	if got := Eval(db, qn, ModeSQL); got.Len() != 0 {
+		t.Errorf("NOT IN under SQL = %s, want ∅", got)
+	}
+
+	// Without the subquery null, "miss" is certainly absent.
+	db2 := relation.NewDatabase()
+	r2 := relation.New("R", "a")
+	r2.Add(value.Consts("hit"))
+	r2.Add(value.Consts("miss"))
+	db2.Add(r2)
+	s2 := relation.New("S", "x")
+	s2.Add(value.Consts("hit"))
+	db2.Add(s2)
+	if got := Eval(db2, qn, ModeSQL); got.Len() != 1 || !got.Contains(value.Consts("miss")) {
+		t.Errorf("NOT IN without nulls = %s, want {miss}", got)
+	}
+
+	// Naive mode: marked nulls are fresh constants, ⊥9 ∉ S.
+	if got := Eval(db, q, ModeNaive); got.Len() != 1 || !got.Contains(value.Consts("hit")) {
+		t.Errorf("IN under naive = %s, want {hit}", got)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"incdb/internal/logic"
-	"incdb/internal/relation"
 	"incdb/internal/value"
 )
 
@@ -84,19 +83,6 @@ type InSub struct {
 // True and False are the constant conditions.
 type True struct{}
 type False struct{}
-
-// boundIn is an InSub whose subquery has been resolved against the current
-// evaluation environment (bindCond): sub is the set-semantics subquery
-// result and split its null-free/with-nulls partition (ModeSQL only). It is
-// created per evaluation and never appears in user-built conditions.
-type boundIn struct {
-	orig  InSub
-	sub   *relation.Relation
-	split *inSplit
-}
-
-func (boundIn) isCond()          {}
-func (c boundIn) String() string { return c.orig.String() }
 
 func (Eq) isCond()           {}
 func (EqConst) isCond()      {}
@@ -325,16 +311,15 @@ func evalCond(c Cond, t value.Tuple, mode Mode, env *evalEnv) logic.TV {
 	case Not:
 		return logic.Not(evalCond(c.C, t, mode, env))
 	case InSub:
-		// Unbound fallback: resolve through the env caches on the spot.
-		// The hot paths bind conditions first (bindCond), so this is only
-		// reached for conditions evaluated outside a selection loop.
-		b := boundIn{orig: c, sub: env.subResult(c.Sub)}
-		if mode == ModeSQL {
-			b.split = env.inSplitOf(c.Sub)
-		}
-		return evalIn(b, t, mode)
-	case boundIn:
-		return evalIn(c, t, mode)
+		// The OR over the subquery rows of the row-wise comparison: t if
+		// some row equals the probe, u (ModeSQL) if none does but some
+		// comparison is unknown, f otherwise.
+		probe := t.Project(c.Cols)
+		res := logic.F
+		env.subResult(c.Sub).Each(func(row value.Tuple, _ int) {
+			res = logic.Or(res, tupleEq(probe, row, mode))
+		})
+		return res
 	}
 	panic(fmt.Sprintf("algebra: evalCond: unknown condition %T", c))
 }
@@ -360,35 +345,6 @@ func evalLess(a, b value.Value, mode Mode) logic.TV {
 		return logic.U
 	}
 	return logic.FromBool(value.Less(a, b))
-}
-
-func evalIn(c boundIn, t value.Tuple, mode Mode) logic.TV {
-	probe := t.Project(c.orig.Cols)
-	if mode == ModeNaive {
-		return logic.FromBool(c.sub.Contains(probe))
-	}
-	if !probe.HasNull() {
-		// Three-valued IN with a null-free probe: a null-free subquery row
-		// compares to t iff it is tuple-equal — one hash lookup — and to f
-		// otherwise, so only the rows containing nulls can contribute u.
-		if c.split.nullFree.Contains(probe) {
-			return logic.T
-		}
-		res := logic.F
-		for _, row := range c.split.withNulls {
-			res = logic.Or(res, tupleEq(probe, row, mode))
-		}
-		return res
-	}
-	// A probe with nulls can match no row with t; scan for u vs f.
-	res := logic.F
-	for _, row := range c.sub.Tuples() {
-		res = logic.Or(res, tupleEq(probe, row, mode))
-		if res == logic.T {
-			return logic.T
-		}
-	}
-	return res
 }
 
 // tupleEq folds evalEq over the components in the evaluation logic.

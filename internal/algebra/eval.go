@@ -34,23 +34,18 @@ func (m Mode) String() string {
 }
 
 // evalEnv carries per-evaluation state: the database, the mode, bag/set
-// semantics, a cache of evaluated IN-subqueries (uncorrelated, so one
-// evaluation each suffices), and a cache of their null-free/with-nulls
-// splits for the three-valued IN probe. Both caches are keyed by the
-// expression's rendering, which is a faithful encoding of the AST; the
-// rendering is computed once per enclosing selection evaluation (bindCond),
-// never per row.
+// semantics, and a memo of evaluated IN-subqueries (uncorrelated, so one
+// evaluation each suffices) keyed by the subquery's rendering, which is a
+// faithful encoding of the AST.
 type evalEnv struct {
-	db     *relation.Database
-	mode   Mode
-	bag    bool
-	subs   map[string]*relation.Relation
-	splits map[string]*inSplit
+	db   *relation.Database
+	mode Mode
+	bag  bool
+	subs map[string]*relation.Relation
 }
 
 func newEvalEnv(db *relation.Database, mode Mode, bag bool) *evalEnv {
-	return &evalEnv{db: db, mode: mode, bag: bag,
-		subs: map[string]*relation.Relation{}, splits: map[string]*inSplit{}}
+	return &evalEnv{db: db, mode: mode, bag: bag, subs: map[string]*relation.Relation{}}
 }
 
 func (env *evalEnv) subResult(e Expr) *relation.Relation {
@@ -59,36 +54,10 @@ func (env *evalEnv) subResult(e Expr) *relation.Relation {
 		return r
 	}
 	// Subquery results are compared set-wise by IN; evaluate as a set.
-	sub := &evalEnv{db: env.db, mode: env.mode, bag: false, subs: env.subs, splits: env.splits}
+	sub := &evalEnv{db: env.db, mode: env.mode, bag: false, subs: env.subs}
 	r := eval(e, sub)
 	env.subs[key] = r
 	return r
-}
-
-// inSplit partitions an IN-subquery result for the three-valued probe: a
-// null-free part answered by one hash lookup and the (typically few) rows
-// with nulls, the only rows that can make a null-free probe unknown.
-type inSplit struct {
-	nullFree  *relation.Relation
-	withNulls []value.Tuple
-}
-
-func (env *evalEnv) inSplitOf(e Expr) *inSplit {
-	key := e.String()
-	if s, ok := env.splits[key]; ok {
-		return s
-	}
-	sub := env.subResult(e)
-	s := &inSplit{nullFree: relation.NewArity("in", sub.Arity())}
-	sub.Each(func(t value.Tuple, _ int) {
-		if t.HasNull() {
-			s.withNulls = append(s.withNulls, t)
-		} else {
-			s.nullFree.Add(t)
-		}
-	})
-	env.splits[key] = s
-	return s
 }
 
 // planner, when installed by internal/plan, replaces the tree-walking
@@ -161,24 +130,10 @@ func eval(e Expr, env *evalEnv) *relation.Relation {
 		return out
 
 	case Select:
-		// Hash equi-join: σ with a conjunct equating a left and a right
-		// column of a product joins by hashing instead of enumerating the
-		// full product. Sound for the keep-t filter in both modes: t
-		// requires the equality conjunct to be t, which under ModeSQL
-		// means equal constants and under ModeNaive equal values.
-		if prod, ok := e.In.(Product); ok {
-			if li, ri, ok := crossEqConjunct(e.Cond, prod, env); ok {
-				return hashJoin(e, prod, li, ri, env)
-			}
-		}
 		in := eval(e.In, env)
 		out := relation.NewArity("σ", in.Arity())
-		cond := e.Cond
-		if in.Len() > 0 { // empty input: stay lazy, resolve no subqueries
-			cond = env.bindCond(cond)
-		}
 		in.Each(func(t value.Tuple, m int) {
-			if evalCond(cond, t, env.mode, env) == logic.T {
+			if evalCond(e.Cond, t, env.mode, env) == logic.T {
 				out.AddMult(t, multOf(m, env))
 			}
 		})
@@ -283,34 +238,12 @@ func eval(e Expr, env *evalEnv) *relation.Relation {
 		return out
 
 	case AntiUnify:
+		// L ⋉⇑ R keeps the tuples of L that unify with no tuple of R.
 		l, r := eval(e.L, env), eval(e.R, env)
 		out := relation.NewArity("⋉⇑", l.Arity())
-		// Null-free tuples unify iff they are equal, so the common case is
-		// a hash probe; only tuples with nulls need the unification scan.
-		// This is the same trick the SQL rewritings of [37] play with
-		// IS NULL conditions and is what keeps Q⁺ near the original
-		// query's cost.
-		nullFree := relation.NewArity("nf", r.Arity())
-		var withNulls []value.Tuple
-		r.Each(func(s value.Tuple, _ int) {
-			if s.HasNull() {
-				withNulls = append(withNulls, s)
-			} else {
-				nullFree.Add(s)
-			}
-		})
+		rs := r.Tuples()
 		l.Each(func(t value.Tuple, m int) {
-			if t.HasNull() {
-				// Rare path: scan everything.
-				for _, s := range nullFree.Tuples() {
-					if value.Unifiable(t, s) {
-						return
-					}
-				}
-			} else if nullFree.Contains(t) {
-				return
-			}
-			for _, s := range withNulls {
+			for _, s := range rs {
 				if value.Unifiable(t, s) {
 					return
 				}
@@ -349,102 +282,6 @@ func multOf(m int, env *evalEnv) int {
 		return m
 	}
 	return 1
-}
-
-// crossEqConjunct finds a top-level Eq{I,J} conjunct of cond with I on the
-// left side of the product and J on the right (or vice versa). It returns
-// the left and right column indices (right one relative to the right
-// input).
-func crossEqConjunct(cond Cond, prod Product, env *evalEnv) (li, ri int, ok bool) {
-	la := Arity(prod.L, env.db)
-	var search func(c Cond) (int, int, bool)
-	search = func(c Cond) (int, int, bool) {
-		switch c := c.(type) {
-		case Eq:
-			switch {
-			case c.I < la && c.J >= la:
-				return c.I, c.J - la, true
-			case c.J < la && c.I >= la:
-				return c.J, c.I - la, true
-			}
-		case And:
-			if i, j, ok := search(c.L); ok {
-				return i, j, ok
-			}
-			return search(c.R)
-		}
-		return 0, 0, false
-	}
-	return search(cond)
-}
-
-// hashJoin evaluates σ_cond(L × R) by probing the right input's lazy
-// per-column index (relation.EachMatch) on the join column, then applying
-// the full condition to each candidate pair. The condition evaluation keeps
-// the exact mode semantics; hashing only prunes pairs whose join equality
-// cannot be t, so each world evaluates in near-linear time instead of the
-// |L|·|R| nested loop.
-func hashJoin(sel Select, prod Product, li, ri int, env *evalEnv) *relation.Relation {
-	l, r := eval(prod.L, env), eval(prod.R, env)
-	out := relation.NewArity("σ⋈", l.Arity()+r.Arity())
-	cond := sel.Cond
-	if l.Len() > 0 {
-		cond = env.bindCond(cond)
-	}
-	l.Each(func(lt value.Tuple, lm int) {
-		key := lt[li]
-		if env.mode == ModeSQL && key.IsNull() {
-			return // the equality conjunct can never be t
-		}
-		r.EachMatch(ri, key, func(rt value.Tuple, rm int) {
-			joined := lt.Concat(rt)
-			if evalCond(cond, joined, env.mode, env) == logic.T {
-				out.AddMult(joined, multOf(lm*rm, env))
-			}
-		})
-	})
-	return out
-}
-
-// bindCond resolves every IN-subquery atom of c once, up front: the
-// subquery result (and, under ModeSQL, its null-free/with-nulls split) is
-// looked up in the env caches a single time and captured in a boundIn atom,
-// so the per-row probes touch resolved pointers instead of re-rendering the
-// subquery expression on every lookup. Conditions without IN atoms are
-// returned unchanged.
-func (env *evalEnv) bindCond(c Cond) Cond {
-	if !condHasIn(c) {
-		return c
-	}
-	switch c := c.(type) {
-	case And:
-		return And{L: env.bindCond(c.L), R: env.bindCond(c.R)}
-	case Or:
-		return Or{L: env.bindCond(c.L), R: env.bindCond(c.R)}
-	case Not:
-		return Not{C: env.bindCond(c.C)}
-	case InSub:
-		b := boundIn{orig: c, sub: env.subResult(c.Sub)}
-		if env.mode == ModeSQL {
-			b.split = env.inSplitOf(c.Sub)
-		}
-		return b
-	}
-	return c
-}
-
-func condHasIn(c Cond) bool {
-	switch c := c.(type) {
-	case And:
-		return condHasIn(c.L) || condHasIn(c.R)
-	case Or:
-		return condHasIn(c.L) || condHasIn(c.R)
-	case Not:
-		return condHasIn(c.C)
-	case InSub:
-		return true
-	}
-	return false
 }
 
 // BooleanResult interprets a zero-ary query result as a truth value: true

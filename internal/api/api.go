@@ -19,11 +19,6 @@
 //	GET  /v1/traces                    recent sampled root spans
 //	GET  /v1/traces/{id}               every stored span of one trace
 //
-// The pre-PR-6 flat routes (POST /v1/load|query|explain with the session
-// name in the body, GET /v1/snapshot?session=) survive as thin delegating
-// shims; the Session fields below exist for them and are ignored when the
-// path names the session.
-//
 // Consistency tokens: every load and query response carries the session's
 // version vector (relation name → mutation version). A client that echoes
 // its last-seen vector as QueryRequest.ReadAfter is guaranteed monotonic
@@ -53,7 +48,6 @@ import (
 // superseded and fences itself (fenced_stale_primary) instead of
 // accepting a divergent write.
 type LoadRequest struct {
-	Session  string `json:"session,omitempty"` // legacy body-field routing
 	Data     string `json:"data"`
 	Append   bool   `json:"append,omitempty"`
 	Snapshot bool   `json:"snapshot,omitempty"`
@@ -91,7 +85,6 @@ type RelationStatus struct {
 // Epoch, like LoadRequest.Epoch, is the client's highest observed
 // replication epoch — a stale primary fences itself on seeing a higher one.
 type QueryRequest struct {
-	Session   string            `json:"session,omitempty"` // legacy body-field routing
 	Query     string            `json:"query"`
 	Proc      string            `json:"proc,omitempty"`
 	Bag       bool              `json:"bag,omitempty"`
@@ -147,7 +140,6 @@ type QueryResponse struct {
 // the response carries actual row counts, batch counts and wall time next
 // to each node's estimates (EXPLAIN ANALYZE).
 type ExplainRequest struct {
-	Session string `json:"session,omitempty"` // legacy body-field routing
 	Query   string `json:"query"`
 	SQL     bool   `json:"sql,omitempty"` // plan for SQL three-valued evaluation
 	Bag     bool   `json:"bag,omitempty"`

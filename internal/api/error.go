@@ -9,7 +9,7 @@ import (
 // Machine-readable error codes, carried in every non-2xx response body.
 const (
 	// CodeBadRequest: the request itself is malformed (undecodable body,
-	// missing session name, bad query-string parameter).
+	// bad query-string parameter).
 	CodeBadRequest = "bad_request"
 	// CodeBadQuery: the query (or load payload) failed to parse, validate
 	// or evaluate against the session's schema.

@@ -72,14 +72,6 @@ type Options struct {
 	// MaxWorlds caps the number of valuations enumerated; Compute returns
 	// an error beyond it. Zero means DefaultMaxWorlds.
 	MaxWorlds int
-	// FreshCount overrides the number of fresh constants added to the
-	// valuation range. Zero means |Null(D)| + 1: n fresh constants make
-	// the enumeration complete for cert⊥ membership of tuples over dom(D)
-	// (any valuation uses at most n distinct values outside the mentioned
-	// constants), and the extra one guarantees that every tuple mentioning
-	// a fresh constant is refuted in cert∩ by a valuation avoiding it.
-	// Smaller values trade exactness for speed.
-	FreshCount int
 	// Workers is the number of goroutines sharding the valuation
 	// enumeration: 0 means one per CPU, 1 forces the serial reference
 	// path. Results are independent of the setting.
@@ -262,11 +254,12 @@ func newSpace(db *relation.Database, ids []uint64, qconsts []value.Value, opts O
 			rng = append(rng, c)
 		}
 	}
-	freshCount := opts.FreshCount
-	if freshCount <= 0 {
-		freshCount = len(ids) + 1
-	}
-	for i := 0; i < freshCount; i++ {
+	// |Null(D)| + 1 fresh constants: n of them make the enumeration
+	// complete for cert⊥ membership of tuples over dom(D) (any valuation
+	// uses at most n distinct values outside the mentioned constants), and
+	// the extra one guarantees that every tuple mentioning a fresh constant
+	// is refuted in cert∩ by a valuation avoiding it.
+	for i := 0; i < len(ids)+1; i++ {
 		// Fresh constants must avoid everything present; the prefix makes
 		// collisions with user data implausible and the loop rules them out.
 		base := "⁑fresh" + strconv.Itoa(i)

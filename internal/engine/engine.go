@@ -160,15 +160,15 @@ func Map[T any](ctx context.Context, opts Options, n int, f func(ctx context.Con
 		workers = n
 	}
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			r, err := f(ctx, i)
 			if err != nil {
 				return nil, err
 			}
 			results[i] = r
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		return results, nil
 	}
@@ -223,10 +223,7 @@ func Search(ctx context.Context, opts Options, n int, pred func(ctx context.Cont
 		workers = n
 	}
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			hit, err := pred(ctx, i)
 			if err != nil {
 				return false, err
@@ -235,7 +232,7 @@ func Search(ctx context.Context, opts Options, n int, pred func(ctx context.Cont
 				return true, nil
 			}
 		}
-		return false, nil
+		return false, ctx.Err()
 	}
 
 	wctx, cancel := context.WithCancel(ctx)

@@ -120,6 +120,39 @@ func TestMapRespectsCallerContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
+	// A context that ends during the last shard fails the call too, serial
+	// or sharded: the results are not the complete map.
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := Map(ctx, Options{Workers: workers}, 6,
+			func(_ context.Context, i int) (int, error) {
+				if i == 5 {
+					cancel()
+				}
+				return i, nil
+			})
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("workers=%d: res=%v err=%v, want nil, context.Canceled", workers, res, err)
+		}
+	}
+}
+
+// TestSearchRespectsCallerContext: a context that ends during the last
+// shard, with no hit found, fails the search, serial or sharded.
+func TestSearchRespectsCallerContext(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		found, err := Search(ctx, Options{Workers: workers}, 6,
+			func(_ context.Context, i int) (bool, error) {
+				if i == 5 {
+					cancel()
+				}
+				return false, nil
+			})
+		if !errors.Is(err, context.Canceled) || found {
+			t.Errorf("workers=%d: found=%v err=%v, want false, context.Canceled", workers, found, err)
+		}
+	}
 }
 
 func TestSearchFindsWitness(t *testing.T) {

@@ -35,7 +35,7 @@ type ExplainNode struct {
 
 // ExplainInfo is the structured form of EXPLAIN output: the one rendering
 // path shared by the incdbctl explain subcommand (text and -format json)
-// and the server's /v1/explain endpoint.
+// and the server's explain endpoint.
 type ExplainInfo struct {
 	Query       string           `json:"query"`
 	Logical     string           `json:"logical"`
@@ -78,7 +78,7 @@ func Describe(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, 
 // DescribeCached is Describe drawing the prepared state from a
 // version-guarded cache instead of freezing afresh: the markers reflect
 // exactly the Prepared a subsequent query through the same cache will
-// reuse (and the call warms that cache). The incdbd /v1/explain handler
+// reuse (and the call warms that cache). The incdbd explain handler
 // uses it with the session's cache.
 func DescribeCached(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, base *relation.Database, cache *PrepCache) *ExplainInfo {
 	prep := cache.Get(base, q, mode, bag)

@@ -172,7 +172,7 @@ func (d *Database) Apply(v value.Valuation) *Database {
 // shared with D by pointer instead of copied — a valuation cannot change
 // them. The caller must treat the returned database as read-only (the
 // oracle world loops do); Apply remains the right call when the world may
-// be mutated or indexed independently of D. Fresh-null bookkeeping is
+// be mutated independently of D. Fresh-null bookkeeping is
 // skipped: worlds are evaluated, never extended.
 func (d *Database) ApplyShared(v value.Valuation) *Database {
 	out := &Database{rels: make(map[string]*Relation, len(d.rels)), order: d.order, nextNull: d.nextNull}

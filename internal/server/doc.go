@@ -19,8 +19,6 @@
 //	GET  /v1/sessions/{session}/wal       stream WAL records (replication)
 //	GET  /v1/status                       server-wide status
 //
-// plus legacy flat routes (POST /v1/load|query|explain, GET /v1/snapshot)
-// that read the session name from the body or query string and delegate.
 // Every non-2xx reply carries the uniform envelope
 // {"error":{"code":"…","message":"…"}} (api.Error).
 //

@@ -302,10 +302,10 @@ func TestRecoveryDiscardsTornTail(t *testing.T) {
 	}
 }
 
-// TestSnapshotExportBootstrap: /v1/snapshot from a running server loads
-// into a fresh (memory-only) server via the snapshot-load path with
-// identical version vectors, null identities and answers — the replica
-// bootstrap flow.
+// TestSnapshotExportBootstrap: a session's snapshot export from a running
+// server loads into a fresh (memory-only) server via the snapshot-load
+// path with identical version vectors, null identities and answers — the
+// replica bootstrap flow.
 func TestSnapshotExportBootstrap(t *testing.T) {
 	_, c := newTestServer(t)
 	if _, err := c.Load(ordersData, false); err != nil {
@@ -343,7 +343,7 @@ func TestSnapshotExportBootstrap(t *testing.T) {
 	}
 
 	// Unknown sessions 404.
-	resp, err := http.Get(c.Base() + "/v1/snapshot?session=nope")
+	resp, err := http.Get(c.Base() + "/v1/sessions/nope/snapshot")
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}

@@ -28,9 +28,16 @@ var ctableStrategies = map[string]ctable.Strategy{
 	"ctable-aware": ctable.Aware,
 }
 
-// Procs lists every evaluation procedure /v1/query accepts, in display
-// order. It is the single source the evaluate dispatch, the error message
-// and the incdbctl client's command recognition all derive from.
+// CTableStrategy returns the strategy a ctable-* procedure name selects;
+// incdbctl's local ctable-* modes resolve through it too.
+func CTableStrategy(proc string) (ctable.Strategy, bool) {
+	strat, ok := ctableStrategies[proc]
+	return strat, ok
+}
+
+// Procs lists every evaluation procedure the query endpoint accepts, in
+// display order. It is the single source the evaluate dispatch, the error
+// message and the incdbctl client's command recognition all derive from.
 func Procs() []string {
 	return []string{"sql", "naive", "cert", "inter", "plus", "poss",
 		"ctable-eager", "ctable-semi", "ctable-lazy", "ctable-aware"}

@@ -219,19 +219,11 @@ func New(opts Options) *Server {
 	s.obs = newMetrics(s)
 	s.mux = http.NewServeMux()
 	// Session-scoped routes: the session name lives in the path.
-	s.mux.HandleFunc("POST /v1/sessions/{session}/load", func(w http.ResponseWriter, r *http.Request) {
-		s.handleLoad(w, r, r.PathValue("session"))
-	})
-	s.mux.HandleFunc("POST /v1/sessions/{session}/query", func(w http.ResponseWriter, r *http.Request) {
-		s.handleQuery(w, r, r.PathValue("session"))
-	})
-	s.mux.HandleFunc("POST /v1/sessions/{session}/explain", func(w http.ResponseWriter, r *http.Request) {
-		s.handleExplain(w, r, r.PathValue("session"))
-	})
+	s.mux.HandleFunc("POST /v1/sessions/{session}/load", s.handleLoad)
+	s.mux.HandleFunc("POST /v1/sessions/{session}/query", s.handleQuery)
+	s.mux.HandleFunc("POST /v1/sessions/{session}/explain", s.handleExplain)
 	s.mux.HandleFunc("GET /v1/sessions/{session}/status", s.handleSessionStatus)
-	s.mux.HandleFunc("GET /v1/sessions/{session}/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSnapshot(w, r, r.PathValue("session"))
-	})
+	s.mux.HandleFunc("GET /v1/sessions/{session}/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/sessions/{session}/wal", s.handleWAL)
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -240,21 +232,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	// Legacy flat routes (pre-PR-6 clients): thin shims that read the
-	// session name from the request body or query string and delegate to
-	// the same handlers.
-	s.mux.HandleFunc("POST /v1/load", func(w http.ResponseWriter, r *http.Request) {
-		s.handleLoad(w, r, "")
-	})
-	s.mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
-		s.handleQuery(w, r, "")
-	})
-	s.mux.HandleFunc("POST /v1/explain", func(w http.ResponseWriter, r *http.Request) {
-		s.handleExplain(w, r, "")
-	})
-	s.mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSnapshot(w, r, r.URL.Query().Get("session"))
-	})
 	s.handler = s.withRequestID(s.mux)
 	return s
 }
@@ -639,17 +616,11 @@ func (s *Server) Preload(session, data string) (int, error) {
 	return len(resp.Relations), nil
 }
 
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("session")
 	var req api.LoadRequest
 	if err := decode(w, r, &req); err != nil {
 		s.fail(w, err)
-		return
-	}
-	if name == "" {
-		name = req.Session
-	}
-	if name == "" {
-		s.fail(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "missing session name"))
 		return
 	}
 	if s.draining.Load() {
@@ -911,7 +882,8 @@ func (s *Server) snapshotOf(sess *session) (*store.Snapshot, error) {
 // durable store writes, served over HTTP so a fresh replica (or incdbctl)
 // can bootstrap a session from a running server via the snapshot-load
 // path. Works on memory-only servers too (the sequence number is then 0).
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("session")
 	sess := s.sessionFor(name)
 	if sess == nil {
 		s.fail(w, errSessionNotFound(name))
@@ -1039,14 +1011,12 @@ func (s *Server) waitCovered(ctx context.Context, sess *session, want map[string
 	}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("session")
 	var req api.QueryRequest
 	if err := decode(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
-	}
-	if name == "" {
-		name = req.Session
 	}
 	sess := s.sessionFor(name)
 	if sess == nil {
@@ -1174,14 +1144,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 	})
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("session")
 	var req api.ExplainRequest
 	if err := decode(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
-	}
-	if name == "" {
-		name = req.Session
 	}
 	sess := s.sessionFor(name)
 	if sess == nil {

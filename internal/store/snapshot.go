@@ -32,7 +32,7 @@ type WarmKey struct {
 // (format, session, covered WAL sequence number, version vector, fresh-null
 // allocator position, warm keys, timestamp) followed by the raparse
 // rendering of the database. The same encoding backs the on-disk snapshot
-// files, the /v1/snapshot export endpoint and the snapshot-bootstrap load
+// files, the snapshot export endpoint and the snapshot-bootstrap load
 // path, so a replica restores byte-identical state from a running server.
 type Snapshot struct {
 	Format  string `json:"format"`

@@ -12,7 +12,7 @@
 // percent-encoded, so arbitrary session names map to safe, invertible
 // directory names.
 //
-// The write-ahead log holds one record per acknowledged /v1/load mutation:
+// The write-ahead log holds one record per acknowledged load mutation:
 // the raparse payload plus the version vector the mutation produced,
 // length-prefixed and CRC-checksummed, fsync'd before the server
 // acknowledges. Replay applies the same payloads in the same order to an
