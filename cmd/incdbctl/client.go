@@ -9,13 +9,14 @@ import (
 	"strings"
 
 	"incdb/internal/api"
+	"incdb/internal/core"
 	"incdb/internal/server"
 )
 
-const clientHelp = `commands:
+var clientHelp = `commands:
   load <file>              replace the session database from a file
   append <file>            append a file's rows into the session database
-  <proc> <query>           evaluate (procs: sql naive cert inter plus poss ctable-*)
+  <proc> <query>           evaluate (procs: ` + strings.Join(core.ProcNames(), " ") + `)
   <query>                  evaluate under sql
   explain [sql] [bag] [analyze] <query>   show the plan (analyze: run it, show actual rows and time per node)
   status                   server sessions, versions, caches, durability, replication
@@ -210,11 +211,11 @@ func clientLine(c *server.Client, line string, opts queryOpts) error {
 		rest = strings.TrimSpace(rest)
 		fallthrough
 	default:
-		// A line starting with an evaluation procedure the server accepts
-		// (server.Procs — one source for the server dispatch and the CLI)
-		// evaluates the rest of the line under it.
+		// A line starting with an evaluation procedure (core's table —
+		// one source for the server dispatch and the CLI) evaluates the
+		// rest of the line under it.
 		proc, query := head, rest
-		if !server.KnownProc(proc) {
+		if _, ok := core.LookupProc(proc); !ok {
 			// A bare query evaluates under sql.
 			proc, query = "sql", strings.TrimSpace(line)
 			if strings.HasPrefix(query, "query ") {

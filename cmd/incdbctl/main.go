@@ -7,8 +7,10 @@
 //	incdbctl -db data.idb -mode plus   "..."   (the Q⁺ rewriting of Figure 2(b))
 //	incdbctl -db data.idb -mode report "..."   (all procedures side by side)
 //
-// Modes: sql, naive, cert (cert⊥), inter (cert∩), plus, poss, qt, qf,
-// ctable-eager|semi|lazy|aware, report.
+// Modes: every procedure of the core package's table — sql, naive, cert
+// (cert⊥), inter (cert∩), plus, poss, ctable-eager|semi|lazy|aware, the
+// same names incdbd's query endpoint accepts — plus the CLI-only qt, qf
+// (the Figure 2(a) rewritings) and report. A failed mode exits 1.
 //
 // The explain subcommand prints the optimized logical expression and the
 // compiled physical plan (with the subplans frozen across valuations
@@ -55,15 +57,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
 	"incdb/internal/core"
-	"incdb/internal/engine"
 	"incdb/internal/plan"
 	"incdb/internal/raparse"
 	"incdb/internal/relation"
-	"incdb/internal/server"
 )
 
 func main() {
@@ -103,7 +104,7 @@ func main() {
 		return
 	}
 	dbPath := flag.String("db", "", "database file (raparse format)")
-	mode := flag.String("mode", "report", "evaluation mode")
+	mode := flag.String("mode", "report", "evaluation mode: "+modeList())
 	maxWorlds := flag.Int("maxworlds", 0, "certainty oracle world bound (0 = default)")
 	workers := flag.Int("workers", 0, "worker goroutines for the oracles (0 = one per CPU, 1 = serial)")
 	flag.Parse()
@@ -192,7 +193,6 @@ func run(dbPath, mode, querySrc string, maxWorlds, workers int) error {
 		return err
 	}
 	opts := certain.Options{MaxWorlds: maxWorlds, Workers: workers}
-	eng := engine.Options{Workers: workers}
 
 	show := func(name string, r *relation.Relation, err error) {
 		switch {
@@ -205,23 +205,17 @@ func run(dbPath, mode, querySrc string, maxWorlds, workers int) error {
 		}
 	}
 
+	if p, ok := core.LookupProc(mode); ok {
+		rels, err := p.Eval(db, q, false, opts)
+		if err != nil {
+			return err
+		}
+		for i, r := range rels {
+			show(p.Results[i], r, nil)
+		}
+		return nil
+	}
 	switch mode {
-	case "sql":
-		show("sql", core.SQL(db, q), nil)
-	case "naive":
-		show("naive", core.Naive(db, q), nil)
-	case "cert":
-		r, err := core.CertainWithNulls(db, q, opts)
-		show("cert⊥", r, err)
-	case "inter":
-		r, err := core.CertainIntersection(db, q, opts)
-		show("cert∩", r, err)
-	case "plus":
-		r, err := core.ApproxPlus(db, q)
-		show("Q+", r, err)
-	case "poss":
-		r, err := core.ApproxPossible(db, q)
-		show("Q?", r, err)
 	case "qt", "qf":
 		qt, qf, err := core.ApproxTrueFalse(db, q)
 		if err != nil {
@@ -244,16 +238,13 @@ func run(dbPath, mode, querySrc string, maxWorlds, workers int) error {
 			fmt.Printf("SQL false negatives: %v\n", rep.FalseNegatives)
 		}
 	default:
-		strat, ok := server.CTableStrategy(mode)
-		if !ok {
-			return fmt.Errorf("unknown mode %q", mode)
-		}
-		cpart, ppart, err := core.CTableAnswersWith(db, q, strat, eng)
-		if err != nil {
-			return err
-		}
-		show("certain", cpart, nil)
-		show("possible", ppart, nil)
+		return fmt.Errorf("unknown mode %q (want one of %s)", mode, modeList())
 	}
 	return nil
+}
+
+// modeList names every -mode: the procedure table's, then the CLI-only
+// Figure 2(a) rewritings and the side-by-side report.
+func modeList() string {
+	return strings.Join(append(core.ProcNames(), "qt", "qf", "report"), ", ")
 }

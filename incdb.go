@@ -36,6 +36,7 @@ import (
 	"incdb/internal/ctable"
 	"incdb/internal/engine"
 	"incdb/internal/plan"
+	"incdb/internal/prob"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -144,19 +145,23 @@ var (
 	CIn       = algebra.CIn
 )
 
-// Evaluation procedures (see package core for details).
+// Evaluation procedures.
 var (
-	// SQL is three-valued SQL evaluation; Naive treats nulls as fresh
-	// constants; the Bag variants follow SQL's multiset arithmetic.
-	SQL      = core.SQL
-	Naive    = core.Naive
+	// SQL is three-valued SQL evaluation (Kleene logic in conditions,
+	// keep only t): fast, but it may return false positives and miss
+	// certain answers. Naive treats nulls as fresh constants, which
+	// computes exactly cert⊥ for unions of conjunctive queries (owa) and
+	// Pos∀G queries (cwa) (Theorem 4.4). The Bag variants follow SQL's
+	// multiset arithmetic.
+	SQL      = algebra.SQL
+	Naive    = algebra.Naive
 	SQLBag   = core.SQLBag
 	NaiveBag = core.NaiveBag
 
 	// CertainWithNulls and CertainIntersection are the exact (guarded
 	// exponential) certainty oracles.
-	CertainWithNulls    = core.CertainWithNulls
-	CertainIntersection = core.CertainIntersection
+	CertainWithNulls    = certain.WithNulls
+	CertainIntersection = certain.Intersection
 
 	// ApproxPlus/ApproxPossible evaluate the Figure 2(b) rewritings;
 	// ApproxTrueFalse the Figure 2(a) ones.
@@ -169,12 +174,13 @@ var (
 	CTableAnswers     = core.CTableAnswers
 	CTableAnswersWith = core.CTableAnswersWith
 
-	// AlmostCertainlyTrue and Mu are the probabilistic answers of §4.3;
-	// MuWith and MuK take an explicit worker pool.
-	AlmostCertainlyTrue = core.AlmostCertainlyTrue
-	Mu                  = core.Mu
-	MuWith              = core.MuWith
-	MuK                 = core.MuK
+	// AlmostCertainlyTrue and Mu are the probabilistic answers of §4.3
+	// (Theorems 4.10/4.11; pass nil constraints for the unconditional µ);
+	// MuWith and the finite-domain MuK take an explicit worker pool.
+	AlmostCertainlyTrue = prob.AlmostCertainlyTrue
+	Mu                  = prob.Mu
+	MuWith              = prob.MuWith
+	MuK                 = prob.MuKWith
 
 	// Analyze runs everything and classifies SQL's errors.
 	Analyze = core.Analyze

@@ -1,6 +1,7 @@
 package incdb_test
 
 import (
+	"math/big"
 	"testing"
 
 	"incdb"
@@ -71,5 +72,61 @@ func TestFacadeCodd(t *testing.T) {
 		if tp[0] == tp[1] {
 			t.Fatalf("Codd transform must break repeated nulls: %v", tp)
 		}
+	}
+}
+
+// exampleDB is R = {1}, S = {⊥}: R − S holds 1 naively and under SQL, but
+// not certainly.
+func exampleDB() *incdb.Database {
+	db := incdb.NewDatabase()
+	r := incdb.NewRelation("R", "a")
+	r.Add(incdb.Consts("1"))
+	db.Add(r)
+	s := incdb.NewRelation("S", "a")
+	s.Add(incdb.T(db.FreshNull()))
+	db.Add(s)
+	return db
+}
+
+func TestEvaluationFrontends(t *testing.T) {
+	db := exampleDB()
+	q := incdb.Minus(incdb.R("R"), incdb.R("S"))
+	if got := incdb.Naive(db, q); got.Len() != 1 {
+		t.Fatalf("Naive = %v", got)
+	}
+	if got := incdb.SQL(db, q); got.Len() != 1 {
+		t.Fatalf("SQL = %v (set difference is syntactic)", got)
+	}
+	if got := incdb.NaiveBag(db, q); got.Mult(incdb.Consts("1")) != 1 {
+		t.Fatalf("NaiveBag = %v", got)
+	}
+	if got := incdb.SQLBag(db, q); got.Mult(incdb.Consts("1")) != 1 {
+		t.Fatalf("SQLBag = %v", got)
+	}
+}
+
+func TestCertaintyFrontends(t *testing.T) {
+	db := exampleDB()
+	q := incdb.Minus(incdb.R("R"), incdb.R("S"))
+	cert, err := incdb.CertainWithNulls(db, q, incdb.CertainOptions{})
+	if err != nil || cert.Len() != 0 {
+		t.Fatalf("cert⊥ = %v, %v", cert, err)
+	}
+	inter, err := incdb.CertainIntersection(db, q, incdb.CertainOptions{})
+	if err != nil || inter.Len() != 0 {
+		t.Fatalf("cert∩ = %v, %v", inter, err)
+	}
+}
+
+func TestProbabilisticFrontends(t *testing.T) {
+	db := exampleDB()
+	q := incdb.Minus(incdb.R("R"), incdb.R("S"))
+	act, err := incdb.AlmostCertainlyTrue(db, q, incdb.Consts("1"))
+	if err != nil || !act {
+		t.Fatalf("1 should be almost certainly in R−S: %v %v", act, err)
+	}
+	mu, err := incdb.Mu(db, q, incdb.Constraints{}, incdb.Consts("1"))
+	if err != nil || mu.Cmp(big.NewRat(1, 1)) != 0 {
+		t.Fatalf("µ = %v, %v", mu, err)
 	}
 }

@@ -1,39 +1,26 @@
-// Package core is the headline API of the library: one place that ties
-// together the evaluation procedures the paper studies — SQL's
-// three-valued evaluation, naive evaluation, the exact certain-answer
-// notions of Section 3, the tractable approximations of Section 4
-// (Figure 2 rewritings and c-table strategies), and the probabilistic
-// answers of Section 4.3 — over a single incomplete database and query.
+// Package core ties together the evaluation procedures the paper studies
+// over a single incomplete database and query. Its procedure table
+// (LookupProc, ProcNames) is the one list of what incdbd's query endpoint
+// and incdbctl's -mode flag accept: SQL's three-valued evaluation, naive
+// evaluation, the exact certain-answer oracles cert⊥ and cert∩ of
+// Section 3, the Figure 2(b) rewritings Q⁺ and Q?, and the four c-table
+// strategies of Theorem 4.9. Beside the table it evaluates the Figure 2
+// rewritings and c-tables as plain functions, and Analyze compares every
+// procedure on one query. The remaining procedures are called from their
+// own packages (algebra, certain, prob); the incdb facade re-exports them.
 package core
 
 import (
 	"fmt"
-	"math/big"
 
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
-	"incdb/internal/constraint"
 	"incdb/internal/ctable"
 	"incdb/internal/engine"
-	"incdb/internal/prob"
 	"incdb/internal/relation"
 	"incdb/internal/translate"
 	"incdb/internal/value"
 )
-
-// SQL evaluates the query the way a SQL engine does: Kleene's three-valued
-// logic in conditions, keep only t (Sections 1 and 5.2). Fast (AC0 data
-// complexity), but may return false positives and miss certain answers.
-func SQL(db *relation.Database, q algebra.Expr) *relation.Relation {
-	return algebra.SQL(db, q)
-}
-
-// Naive evaluates the query with nulls as fresh constants (Section 4.1).
-// For unions of conjunctive queries (owa) and Pos∀G queries (cwa) this
-// computes exactly the certain answers with nulls (Theorem 4.4).
-func Naive(db *relation.Database, q algebra.Expr) *relation.Relation {
-	return algebra.Naive(db, q)
-}
 
 // SQLBag and NaiveBag are the bag-semantics variants (Section 4.2).
 func SQLBag(db *relation.Database, q algebra.Expr) *relation.Relation {
@@ -44,36 +31,16 @@ func NaiveBag(db *relation.Database, q algebra.Expr) *relation.Relation {
 	return algebra.EvalBag(db, q, algebra.ModeNaive)
 }
 
-// CertainWithNulls computes cert⊥(Q, D) exactly (Definition 3.9) by
-// enumerating the valuation space; exponential in |Null(D)| and therefore
-// guarded by opts.MaxWorlds.
-func CertainWithNulls(db *relation.Database, q algebra.Expr, opts certain.Options) (*relation.Relation, error) {
-	return certain.WithNulls(db, q, opts)
-}
-
-// CertainIntersection computes cert∩(Q, D) exactly (Definition 3.7).
-func CertainIntersection(db *relation.Database, q algebra.Expr, opts certain.Options) (*relation.Relation, error) {
-	return certain.Intersection(db, q, opts)
-}
-
 // ApproxPlus evaluates the Q⁺ rewriting of Figure 2(b): a tractable subset
 // of the certain answers (Theorem 4.7), equal to Q(D) on complete data.
 func ApproxPlus(db *relation.Database, q algebra.Expr) (*relation.Relation, error) {
-	plus, _, err := translate.Fig2b(q)
-	if err != nil {
-		return nil, err
-	}
-	return algebra.Naive(db, plus), nil
+	return execPrepared(db, q, false, certain.Options{}, fig2b(false))
 }
 
 // ApproxPossible evaluates the Q? rewriting of Figure 2(b): a tractable
 // superset of the possible answers.
 func ApproxPossible(db *relation.Database, q algebra.Expr) (*relation.Relation, error) {
-	_, poss, err := translate.Fig2b(q)
-	if err != nil {
-		return nil, err
-	}
-	return algebra.Naive(db, poss), nil
+	return execPrepared(db, q, false, certain.Options{}, fig2b(true))
 }
 
 // ApproxTrueFalse evaluates the (Qᵗ, Qᶠ) rewriting of Figure 2(a):
@@ -105,29 +72,6 @@ func CTableAnswersWith(db *relation.Database, q algebra.Expr, s ctable.Strategy,
 	return ct.Extract(true), ct.Extract(false), nil
 }
 
-// AlmostCertainlyTrue reports whether µ(Q, D, ā) = 1 (Theorem 4.10).
-func AlmostCertainlyTrue(db *relation.Database, q algebra.Expr, t value.Tuple) (bool, error) {
-	return prob.AlmostCertainlyTrue(db, q, t)
-}
-
-// Mu computes the asymptotic probability µ(Q|Σ, D, ā) as an exact
-// rational; pass nil Σ for the unconditional µ (Theorems 4.10/4.11).
-func Mu(db *relation.Database, q algebra.Expr, sigma constraint.Set, t value.Tuple) (*big.Rat, error) {
-	return prob.Mu(db, q, sigma, t)
-}
-
-// MuWith is Mu with an explicit worker pool sharding the pattern
-// enumeration.
-func MuWith(db *relation.Database, q algebra.Expr, sigma constraint.Set, t value.Tuple, eng engine.Options) (*big.Rat, error) {
-	return prob.MuWith(db, q, sigma, t, eng)
-}
-
-// MuK computes the finite-domain µᵏ with an explicit worker pool sharding
-// the kⁿ valuation enumeration.
-func MuK(db *relation.Database, q algebra.Expr, sigma constraint.Set, t value.Tuple, k int, eng engine.Options) (*big.Rat, error) {
-	return prob.MuKWith(db, q, sigma, t, k, eng)
-}
-
 // Report compares the evaluation procedures on one query, classifying
 // SQL's errors against the exact certain answers when the oracle is
 // feasible.
@@ -152,8 +96,8 @@ type Report struct {
 func Analyze(db *relation.Database, q algebra.Expr, opts certain.Options) *Report {
 	r := &Report{
 		Query:        fmt.Sprint(q),
-		SQLAnswers:   SQL(db, q),
-		NaiveAnswers: Naive(db, q),
+		SQLAnswers:   algebra.SQL(db, q),
+		NaiveAnswers: algebra.Naive(db, q),
 	}
 	if plus, err := ApproxPlus(db, q); err == nil {
 		r.Plus = plus
@@ -161,7 +105,7 @@ func Analyze(db *relation.Database, q algebra.Expr, opts certain.Options) *Repor
 	if poss, err := ApproxPossible(db, q); err == nil {
 		r.Poss = poss
 	}
-	cert, err := CertainWithNulls(db, q, opts)
+	cert, err := certain.WithNulls(db, q, opts)
 	if err != nil {
 		r.CertainErr = err
 		return r

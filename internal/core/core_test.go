@@ -1,12 +1,10 @@
 package core
 
 import (
-	"math/big"
 	"testing"
 
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
-	"incdb/internal/constraint"
 	"incdb/internal/ctable"
 	"incdb/internal/relation"
 	"incdb/internal/value"
@@ -21,36 +19,6 @@ func exampleDB() *relation.Database {
 	s.Add(value.T(db.FreshNull()))
 	db.Add(s)
 	return db
-}
-
-func TestEvaluationFrontends(t *testing.T) {
-	db := exampleDB()
-	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	if got := Naive(db, q); got.Len() != 1 {
-		t.Fatalf("Naive = %v", got)
-	}
-	if got := SQL(db, q); got.Len() != 1 {
-		t.Fatalf("SQL = %v (set difference is syntactic)", got)
-	}
-	if got := NaiveBag(db, q); got.Mult(value.Consts("1")) != 1 {
-		t.Fatalf("NaiveBag = %v", got)
-	}
-	if got := SQLBag(db, q); got.Mult(value.Consts("1")) != 1 {
-		t.Fatalf("SQLBag = %v", got)
-	}
-}
-
-func TestCertaintyFrontends(t *testing.T) {
-	db := exampleDB()
-	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	cert, err := CertainWithNulls(db, q, certain.Options{})
-	if err != nil || cert.Len() != 0 {
-		t.Fatalf("cert⊥ = %v, %v", cert, err)
-	}
-	inter, err := CertainIntersection(db, q, certain.Options{})
-	if err != nil || inter.Len() != 0 {
-		t.Fatalf("cert∩ = %v, %v", inter, err)
-	}
 }
 
 func TestApproximationFrontends(t *testing.T) {
@@ -86,19 +54,6 @@ func TestCTableFrontend(t *testing.T) {
 	}
 	if cpart.Len() != 0 || !ppart.Contains(value.Consts("1")) {
 		t.Fatalf("ctable = %v / %v", cpart, ppart)
-	}
-}
-
-func TestProbabilisticFrontends(t *testing.T) {
-	db := exampleDB()
-	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	act, err := AlmostCertainlyTrue(db, q, value.Consts("1"))
-	if err != nil || !act {
-		t.Fatalf("1 should be almost certainly in R−S: %v %v", act, err)
-	}
-	mu, err := Mu(db, q, constraint.Set{}, value.Consts("1"))
-	if err != nil || mu.Cmp(big.NewRat(1, 1)) != 0 {
-		t.Fatalf("µ = %v, %v", mu, err)
 	}
 }
 

@@ -133,7 +133,7 @@ func (s *Server) logSlow(r *http.Request, sess *session, req *api.QueryRequest,
 		"request_id", requestID(r.Context()),
 		"trace_id", obs.SpanFromContext(r.Context()).TraceID(),
 		"session", sess.name,
-		"proc", procName(req.Proc),
+		"proc", req.Proc,
 		"elapsed_ms", float64(elapsed.Microseconds())/1000,
 		"worlds", worlds,
 		"frozen_reuse", frozen,

@@ -47,11 +47,12 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // resultKey builds the cache key for one request against the session's
-// current database. The caller holds the session read lock (the version
+// current database. req.Proc is the canonical procedure name (handleQuery
+// resolves it). The caller holds the session read lock (the version
 // vector must be consistent with the evaluation that follows).
 func resultKey(req *api.QueryRequest, db *relation.Database) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%t|%d", req.Query, procName(req.Proc), req.Bag, req.MaxWorlds)
+	fmt.Fprintf(&b, "%s|%s|%t|%d", req.Query, req.Proc, req.Bag, req.MaxWorlds)
 	versions := db.Versions()
 	names := make([]string, 0, len(versions))
 	for name := range versions {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"incdb/internal/api"
+	"incdb/internal/core"
 	"incdb/internal/engine"
 	"incdb/internal/obs"
 	"incdb/internal/plan"
@@ -1018,6 +1019,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	// Resolve the procedure before anything is spent on the request: an
+	// unknown one touches neither the result cache nor an evaluation slot.
+	// From here on req.Proc is the canonical name ("" reads as sql).
+	p, ok := core.LookupProc(req.Proc)
+	if !ok {
+		s.fail(w, api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery,
+			"unknown proc %q (want one of %s)", req.Proc, strings.Join(core.ProcNames(), ", ")))
+		return
+	}
+	req.Proc = p.Name
 	sess := s.sessionFor(name)
 	if sess == nil {
 		s.fail(w, errSessionNotFound(name))
@@ -1048,16 +1059,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if hit {
 		sess.queries.Add(1)
 		elapsed := time.Since(start)
-		proc := procName(req.Proc)
-		s.obs.queries.With(proc, name).Inc()
+		s.obs.queries.With(p.Name, name).Inc()
 		// Cache hits are real served latency: they land in the histogram
 		// under cache="hit" so `incdbctl top` quantiles reflect what
 		// clients actually experienced, not just evaluation cost.
-		s.obs.queryLatency.With(proc, name, "hit").ObserveExemplar(elapsed.Seconds(), sp.ExemplarRef())
-		s.recordWarm(sess, &req)
+		s.obs.queryLatency.With(p.Name, name, "hit").ObserveExemplar(elapsed.Seconds(), sp.ExemplarRef())
+		s.recordWarm(sess, p, &req)
 		writeJSON(w, http.StatusOK, api.QueryResponse{
 			Session:   name,
-			Proc:      proc,
+			Proc:      p.Name,
 			Query:     req.Query,
 			Results:   cached,
 			ElapsedMs: float64(elapsed.Microseconds()) / 1000,
@@ -1087,7 +1097,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	detail := req.TraceDetail && sp.Sampled()
 	tr := plan.NewTrace(detail)
 	esp := sp.StartChild("evaluate")
-	esp.Attr("proc", procName(req.Proc))
+	esp.Attr("proc", p.Name)
 	evalStart := time.Now()
 	var results []api.Resultset
 	var err error
@@ -1098,9 +1108,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	versions = sess.db.Versions()
 	// pprof labels segment -pprof-addr CPU profiles by workload; the
 	// trace ID lets a profile sample be joined back to its trace.
-	pprof.Do(r.Context(), pprof.Labels("session", name, "proc", procName(req.Proc), "trace_id", sp.TraceID()),
+	pprof.Do(r.Context(), pprof.Labels("session", name, "proc", p.Name, "trace_id", sp.TraceID()),
 		func(ctx context.Context) {
-			results, err = s.evaluate(ctx, sess, &req, tr)
+			results, err = s.evaluate(ctx, sess, p, &req, tr)
 		})
 	if err == nil {
 		sess.results.put(key, results)
@@ -1117,22 +1127,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.queries.Add(1)
-	s.recordWarm(sess, &req)
+	s.recordWarm(sess, p, &req)
 	elapsed := time.Since(start)
-	proc := procName(req.Proc)
 	worlds, frozen := tr.Execs.Load(), tr.FrozenReuse.Load()
 	esp.Attr("worlds", strconv.FormatInt(worlds, 10))
 	s.spanPlanNodes(esp, tr, evalStart)
 	esp.End()
-	s.obs.queries.With(proc, name).Inc()
-	s.obs.queryLatency.With(proc, name, "miss").ObserveExemplar(elapsed.Seconds(), sp.ExemplarRef())
+	s.obs.queries.With(p.Name, name).Inc()
+	s.obs.queryLatency.With(p.Name, name, "miss").ObserveExemplar(elapsed.Seconds(), sp.ExemplarRef())
 	s.obs.queryWorlds.Observe(float64(worlds))
 	s.obs.worlds.Add(uint64(worlds))
 	s.obs.frozenReuse.Add(uint64(frozen))
 	s.logSlow(r, sess, &req, elapsed, worlds, frozen)
 	writeJSON(w, http.StatusOK, api.QueryResponse{
 		Session:     name,
-		Proc:        proc,
+		Proc:        p.Name,
 		Query:       req.Query,
 		Results:     results,
 		ElapsedMs:   float64(elapsed.Microseconds()) / 1000,

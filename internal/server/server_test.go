@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,8 @@ import (
 	"time"
 
 	"incdb/internal/api"
+	"incdb/internal/core"
+	"incdb/internal/store"
 )
 
 const ordersData = `
@@ -327,7 +330,7 @@ func TestAllProcs(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	q := "minus(proj(0, Orders), Payments)"
-	for _, proc := range Procs() {
+	for _, proc := range core.ProcNames() {
 		qr, err := c.Query(q, proc, false, 0)
 		if err != nil {
 			t.Fatalf("proc %s: %v", proc, err)
@@ -338,6 +341,67 @@ func TestAllProcs(t *testing.T) {
 		}
 		if len(qr.Results) != wantSets {
 			t.Fatalf("proc %s: %d resultsets, want %d", proc, len(qr.Results), wantSets)
+		}
+	}
+}
+
+// TestUnknownProcRejectedEarly: an unknown procedure is refused before it
+// costs anything — no result-cache lookup, no evaluation slot, no query
+// series — with the same 422 bad_query reply listing the table's names.
+func TestUnknownProcRejectedEarly(t *testing.T) {
+	hs, c := newTestServer(t)
+	if _, err := c.Load(ordersData, false); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	before := sessionStatus(t, c, "test").ResultCache
+	_, err := c.Query(unpaid, "bogus", false, 0)
+	var aerr *api.Error
+	if !errors.As(err, &aerr) || aerr.Code != api.CodeBadQuery || aerr.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("bogus proc: error = %#v, want *api.Error{bad_query, 422}", err)
+	}
+	if want := strings.Join(core.ProcNames(), ", "); !strings.Contains(aerr.Message, want) {
+		t.Fatalf("bogus proc message %q does not list %q", aerr.Message, want)
+	}
+	if after := sessionStatus(t, c, "test").ResultCache; after.Misses != before.Misses {
+		t.Fatalf("bogus proc counted a result-cache miss: %+v -> %+v", before, after)
+	}
+	for _, s := range scrape(t, hs.URL) {
+		if s.Name == "incdb_queries_total" && s.Label("proc") == "bogus" {
+			t.Fatalf("bogus proc has a query series: %+v", s)
+		}
+	}
+}
+
+// TestWarmKeysMatchEvaluation: for every procedure with a prepared plan,
+// warming its recorded key prepares exactly what serving the query then
+// draws from the cache, so the served query misses nothing.
+func TestWarmKeysMatchEvaluation(t *testing.T) {
+	const q = "minus(proj(0, Orders), Payments)"
+	for _, name := range core.ProcNames() {
+		p, _ := core.LookupProc(name)
+		if p.Prepared == nil {
+			continue
+		}
+		for _, bag := range []bool{false, true} {
+			srv := New(Options{Workers: 2})
+			hs := httptest.NewServer(srv.Handler())
+			c := NewClient(hs.URL, "test")
+			if _, err := c.Load(ordersData, false); err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			sess := srv.sessionFor("test")
+			srv.warmSession(sess, []store.WarmKey{{Query: q, Proc: name, Bag: bag}})
+			warmed := sess.prep.Stats()
+			if warmed.Misses == 0 {
+				t.Fatalf("%s bag=%t: warming prepared nothing", name, bag)
+			}
+			if _, err := c.Query(q, name, bag, 0); err != nil {
+				t.Fatalf("%s bag=%t: %v", name, bag, err)
+			}
+			if got := sess.prep.Stats(); got.Misses != warmed.Misses {
+				t.Fatalf("%s bag=%t: served query missed the warmed cache: %+v -> %+v", name, bag, warmed, got)
+			}
+			hs.Close()
 		}
 	}
 }

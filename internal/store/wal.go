@@ -126,8 +126,10 @@ type SessionLog struct {
 	trace        *WALTrace
 	pendingTrace []string
 
-	// noteMu/note broadcast "the durable state changed" to WAL tailers:
-	// note is closed and replaced after every flush and every truncation.
+	// noteMu/note broadcast "the durable state changed" to WAL tailers and
+	// to Syncs waiting on a group commit: note is closed and replaced each
+	// time a holder of syncMu releases it (after every flush attempt and
+	// every snapshot install).
 	noteMu sync.Mutex
 	note   chan struct{}
 
@@ -369,26 +371,30 @@ func (l *SessionLog) BufferRecord(rec *Record) error {
 // broadcast channel instead of queueing on the mutex, so a finished flush
 // releases the whole batch of waiters with one channel close rather than a
 // convoy of sequential mutex handoffs.
+//
+// A waiter subscribes before it tries the lock, and every holder of syncMu
+// broadcasts after releasing it. So a waiter that lost the lock is woken
+// when the lock frees, even if the holder's batch ended before the
+// waiter's record or the holder flushed nothing: it then retries the lock
+// and flushes its record itself.
 func (l *SessionLog) Sync(seq uint64) error {
 	for l.durable.Load() < seq {
 		if l.failed.Load() {
 			return fmt.Errorf("store: session %q wal failed earlier; record %d is not durable (restart to recover)", l.name, seq)
 		}
+		ch := l.changed()
 		if l.syncMu.TryLock() {
 			var err error
 			if l.durable.Load() < seq {
 				err = l.flush()
 			}
 			l.syncMu.Unlock()
+			l.notify()
 			if err != nil {
 				return err
 			}
 			continue
 		}
-		// A flush is in flight. Subscribe, re-check (the flusher may have
-		// finished in between — the subscribe-then-check order makes that
-		// race safe), then wait for its completion broadcast.
-		ch := l.changed()
 		if l.durable.Load() >= seq || l.failed.Load() {
 			continue
 		}
@@ -397,7 +403,8 @@ func (l *SessionLog) Sync(seq uint64) error {
 	return nil
 }
 
-// flush writes and fsyncs everything buffered. Caller holds syncMu.
+// flush writes and fsyncs everything buffered. Caller holds syncMu and
+// broadcasts (notify) after releasing it.
 func (l *SessionLog) flush() error {
 	l.mu.Lock()
 	buf, n, end := l.buf, l.bufRecords, l.seqLocked
@@ -435,7 +442,6 @@ func (l *SessionLog) flush() error {
 	l.syncs.Add(1)
 	l.lastSync.Store(time.Now().UnixNano())
 	l.durable.Store(end)
-	l.notify()
 	return nil
 }
 
@@ -486,7 +492,10 @@ func (l *SessionLog) InstallSnapshot(snap *Snapshot) error {
 		return fmt.Errorf("store: session %q wal failed earlier; refusing snapshot (restart to recover)", l.name)
 	}
 	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
+	defer func() {
+		l.syncMu.Unlock()
+		l.notify()
+	}()
 	if m := l.metrics; m != nil {
 		start := time.Now()
 		defer func() { observe(m.SnapshotSeconds, time.Since(start).Seconds()) }()
@@ -546,7 +555,6 @@ func (l *SessionLog) InstallSnapshot(snap *Snapshot) error {
 	l.SetEpoch(snap.Epoch)
 	l.lastSnap.Store(time.Now().UnixNano())
 	l.walGen.Add(1)
-	l.notify()
 	return nil
 }
 

@@ -7,8 +7,9 @@
 # every answer and version vector matches the pre-kill state. Along the way
 # /v1/metrics is scraped and key series are asserted to exist and to move
 # with traffic, and `incdbctl trace` is exercised against the default-on
-# distributed tracing (list recent roots, render one query's span tree).
-# Ends with a graceful-shutdown check.
+# distributed tracing (list recent roots, render one query's span tree),
+# and every evaluation procedure is run both locally (incdbctl -mode) and
+# served, asserting the same rows. Ends with a graceful-shutdown check.
 set -eu
 
 BIN="${BIN:-./bin}"
@@ -103,6 +104,24 @@ for span in "POST /v1/sessions/smoke/query" "result_cache.lookup" "evaluate" "pl
         echo "trace tree is missing a $span span" >&2; exit 1; }
 done
 echo "trace $TRACE_ID renders with evaluation and plan-node spans"
+
+echo "== one procedure table: incdbctl -mode <proc> matches the served <proc> =="
+# The proc list comes from the client help, which renders core's table;
+# every name must evaluate locally and on the server to the same result
+# names and rows (nulls print as ⊥k locally, _k on the wire).
+PROCS=$("$BIN/incdbctl" client help | sed -n 's/.*(procs: \(.*\))$/\1/p')
+[ -n "$PROCS" ] || { echo "client help lists no procs" >&2; exit 1; }
+for q in 'minus(proj(0, Orders), Payments)' 'proj(1, Orders)'; do
+    for p in $PROCS; do
+        local_rows=$("$BIN/incdbctl" -db examples/data/orders.idb -mode "$p" "$q" |
+            awk '/^  \(/ { gsub("⊥", "_"); print; next } /^[^ }]/ { print $1 }')
+        served_rows=$($CTL "$p" "$q" | awk '/^  \(/ { print; next } /^[^ ]/ { print $1 }')
+        [ -n "$local_rows" ] && [ "$local_rows" = "$served_rows" ] || {
+            echo "-mode $p and served $p differ on $q:" >&2
+            echo "local:  $local_rows" >&2; echo "served: $served_rows" >&2; exit 1; }
+    done
+done
+echo "procs agree locally and served: $PROCS"
 
 echo "== crash recovery: append, SIGKILL mid-sequence, restart, compare =="
 APPEND_FILE="$DATA_DIR/append.idb"
